@@ -3,6 +3,9 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
 import repro.Fixtures._
+import repro.assign.EaiAssigner
+import repro.baselines.TdhInference
+import repro.crowd.SimWorkers
 import repro.data.{AnswerLog, TdDataset, TruthDataGen}
 import repro.eval.Metrics
 
@@ -165,6 +168,56 @@ class TdhLocalSpec extends AnyFunSuite {
     val pairs = res.phi.toSeq.map { case (s, p) => (planted(s)._1, p(0)) }
     val corr = pearson(pairs)
     assert(corr > 0.6, s"corr=$corr pairs=$pairs")
+  }
+
+  // ---- golden outputs ------------------------------------------------------
+  // 64-bit digests of the exact output bits of TdhLocal.run on the calibrated
+  // datasets. Any change to the loop order or to a floating-point expression
+  // of the EM shows up here; a refactor of TdhLocal must keep them.
+
+  private lazy val goldenData = Seq("BirthPlaces" -> TruthDataGen.birthPlaces(), "Heritages" -> TruthDataGen.heritages())
+
+  /** The answer log after 3 TDH+EAI crowd rounds (k = 5, 10 workers). */
+  private def crowdLog(ds: TdDataset): AnswerLog = {
+    val log = empty(ds)
+    val workers = SimWorkers.uniform(10, 0.75, 123)
+    for (_ <- 1 to 3) {
+      val state = new TdhInference().infer(ds.views, log)
+      new EaiAssigner().assign(state, log, workers.ids, 5).foreach { case (w, o) =>
+        log.add(o, w, workers.answer(ds, w, o))
+      }
+    }
+    log
+  }
+
+  private def digest(res: TdhResult): Long = {
+    var h = 0xcbf29ce484222325L
+    def mix(x: Long): Unit = { h = (h ^ x) * 0x100000001b3L; h ^= h >>> 29 }
+    def mixAll(xs: Array[Double]): Unit = xs.foreach(x => mix(java.lang.Double.doubleToLongBits(x)))
+    res.mu.foreach(mixAll)
+    res.muNum.foreach(mixAll)
+    mixAll(res.muDen)
+    for (trust <- Seq(res.phi, res.psi); (id, p) <- trust.toSeq.sortBy(_._1)) { mix(id.toLong); mixAll(p) }
+    res.truthIdx.foreach(i => mix(i.toLong))
+    h
+  }
+
+  private val golden: Map[(String, String), Long] = Map(
+    ("BirthPlaces", "empty log") -> -6810048431288983388L,
+    ("BirthPlaces", "3-round crowd log") -> -4845403586485639353L,
+    ("BirthPlaces", "maxIters=10 tol=0") -> -7917337343673983475L,
+    ("Heritages", "empty log") -> -8253040490579105933L,
+    ("Heritages", "3-round crowd log") -> -1548634695489183978L,
+    ("Heritages", "maxIters=10 tol=0") -> 5735584777864672750L,
+  )
+
+  test("TdhLocal output bits match the golden digests") {
+    val got = for ((name, ds) <- goldenData; (label, log, hyper) <- Seq(
+        ("empty log", empty(ds), TdhHyper()),
+        ("3-round crowd log", crowdLog(ds), TdhHyper()),
+        ("maxIters=10 tol=0", empty(ds), TdhHyper(maxIters = 10, tol = 0.0))))
+      yield (name, label) -> digest(TdhLocal.run(ds.views, log, hyper))
+    assert(got.toMap == golden)
   }
 
   private def pearson(xs: Seq[(Double, Double)]): Double = {
