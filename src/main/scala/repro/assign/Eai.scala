@@ -81,19 +81,21 @@ final class EaiAssigner(pruned: Boolean = true) extends Assigner {
     val mu = state.mu(o)
     val n = mu.length
     val nObj = state.views.length
+    // joint(v) = P(v_o^w = u | v_o^* = v, psi_w) * mu_o(v) for the current u
+    val joint = new Array[Double](n)
     var expMax = 0.0
     var uIdx = 0
     while (uIdx < n) {
       // marginal P(v_o^w = u | psi_w, mu_o) — Eq. (6)
       var pu = 0.0
       var v = 0
-      while (v < n) { pu += state.answerProb(o, w, uIdx, v) * mu(v); v += 1 }
+      while (v < n) { joint(v) = state.answerProb(o, w, uIdx, v) * mu(v); pu += joint(v); v += 1 }
       if (pu > 1e-15) {
         // conditional confidence mu_{o,v | v^w = u} — Eq. (18)
         var best = 0.0
         v = 0
         while (v < n) {
-          val f = state.answerProb(o, w, uIdx, v) * mu(v) / pu
+          val f = joint(v) / pu
           val cond = (muNum(o)(v) + f) / (muDen(o) + 1.0)
           if (cond > best) best = cond
           v += 1

@@ -33,10 +33,7 @@ object TdhProb {
   /** Relationship C between claim u and a hypothetical truth v (Eq. of C_v):
     * 1 = exact, 2 = u is a generalized value of v (u ∈ G_o(v)), 3 = wrong.
     */
-  def relType(view: ObjectView, uIdx: Int, vIdx: Int): Int =
-    if (uIdx == vIdx) 1
-    else if (view.anc(vIdx).contains(uIdx)) 2
-    else 3
+  def relType(view: ObjectView, uIdx: Int, vIdx: Int): Int = view.rel(uIdx * view.nCands + vIdx)
 
   /** P(v_o^s = u | v_o^* = v, φ_s) — Eq. (1) for o ∈ O_H, Eq. (2) otherwise. */
   def pSrc(view: ObjectView, phi: Array[Double], uIdx: Int, vIdx: Int): Double = {
@@ -115,11 +112,15 @@ object TdhProb {
 /** Output of a TDH inference run.
   *
   * @param mu     per-object confidence distribution over that object's candidates
-  * @param muNum  N_{o,v}: the numerator of Eq. (9) at convergence (used by EAI)
-  * @param muDen  D_o: the denominator of Eq. (9) at convergence
+  * @param muNum  N_{o,v}: the numerator of Eq. (9) at the last iteration (used by EAI)
+  * @param muDen  D_o: the denominator of Eq. (9) at the last iteration
   * @param phi    per-source trustworthiness distribution
   * @param psi    per-worker trustworthiness distribution
   * @param truthIdx chosen candidate index per object
+  * @param iterations EM iterations run
+  * @param finalDelta max |Δμ| of the last iteration (Double.MaxValue if none ran)
+  * @param converged  whether `finalDelta` reached the tolerance before the
+  *                   iteration cap
   */
 final case class TdhResult(
     mu: Array[Array[Double]],
@@ -128,6 +129,9 @@ final case class TdhResult(
     phi: Map[Int, Array[Double]],
     psi: Map[Int, Array[Double]],
     truthIdx: Array[Int],
+    iterations: Int = 0,
+    finalDelta: Double = Double.NaN,
+    converged: Boolean = false,
 ) {
   def truthValues(views: Array[ObjectView]): Array[Int] =
     Array.tabulate(truthIdx.length)(o => views(o).cands(truthIdx(o)))

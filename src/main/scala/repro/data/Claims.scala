@@ -30,6 +30,8 @@ final case class Answer(obj: Int, worker: Int, value: Int)
   *                  of cands(j) — the paper's D_o(cands(j))
   * @param inOH      whether any ancestor-descendant pair exists in V_o (o ∈ O_H)
   * @param srcCount  srcCount(j) = number of records claiming cands(j)
+  * @param rel       relation type of claim u to truth v at rel(u * nCands + v):
+  *                  1 = exact (u = v), 2 = u ∈ anc(v), 3 = otherwise
   */
 final class ObjectView(
     val obj: Int,
@@ -41,6 +43,7 @@ final class ObjectView(
     val desc: Array[Array[Int]],
     val inOH: Boolean,
     val srcCount: Array[Int],
+    val rel: Array[Byte],
 ) {
   val nCands: Int = cands.length
   val nRecords: Int = srcIds.length
@@ -74,8 +77,12 @@ object ObjectView {
     val cands = claims.map(_._2).distinct.sorted.toArray
     val n = cands.length
     val idx = cands.zipWithIndex.toMap
+    val rel = Array.fill[Byte](n * n)(3)
     val anc = Array.tabulate(n) { j =>
-      (0 until n).filter(i => i != j && isAnc(cands(i), cands(j))).toArray
+      rel(j * n + j) = 1
+      val a = (0 until n).filter(i => i != j && isAnc(cands(i), cands(j))).toArray
+      a.foreach(i => rel(i * n + j) = 2)
+      a
     }
     val desc = Array.tabulate(n) { j =>
       (0 until n).filter(i => i != j && isAnc(cands(j), cands(i))).toArray
@@ -92,6 +99,7 @@ object ObjectView {
       desc,
       anc.exists(_.nonEmpty),
       srcCount,
+      rel,
     )
   }
 }

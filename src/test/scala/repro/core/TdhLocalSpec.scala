@@ -170,6 +170,38 @@ class TdhLocalSpec extends AnyFunSuite {
     assert(corr > 0.6, s"corr=$corr pairs=$pairs")
   }
 
+  test("sparse source and worker ids give the same result as dense ones") {
+    val srcOf = Map(0 -> 3, 1 -> 900, 2 -> 40, 3 -> 1)
+    val wkrOf = Map(0 -> 7, 1 -> 1000)
+    val dense = Fixtures.table1World()
+    val sparse = dense.copy(records = dense.records.map(r => r.copy(source = srcOf(r.source))),
+      numSources = 1001)
+    def log(ds: TdDataset, wkr: Int => Int) = {
+      val l = empty(ds)
+      l.add(0, wkr(0), ds.views(0).candIndex(LibertyIsland))
+      l.add(0, wkr(1), ds.views(0).candIndex(NY))
+      l.add(1, wkr(1), ds.views(1).candIndex(London))
+      l
+    }
+    val a = TdhLocal.run(dense.views, log(dense, identity))
+    val b = TdhLocal.run(sparse.views, log(sparse, wkrOf))
+    for (o <- 0 until dense.numObjects) assert(a.mu(o).toSeq == b.mu(o).toSeq, s"obj=$o")
+    assert(b.phi.keySet == Set(3, 900, 40, 1))
+    assert(b.psi.keySet == Set(7, 1000))
+    for ((s, p) <- a.phi) assert(b.phi(srcOf(s)).toSeq == p.toSeq, s"source $s")
+    for ((w, p) <- a.psi) assert(b.psi(wkrOf(w)).toSeq == p.toSeq, s"worker $w")
+  }
+
+  test("the result reports iterations, the final delta and convergence") {
+    val ds = Fixtures.table1World()
+    val res = TdhLocal.run(ds.views, empty(ds))
+    assert(res.converged && res.iterations < 100 && res.finalDelta <= 1e-6, res)
+    val capped = TdhLocal.run(ds.views, empty(ds), TdhHyper(maxIters = 3, tol = 0.0))
+    assert(capped.iterations == 3 && !capped.converged && capped.finalDelta > 0.0)
+    val none = TdhLocal.run(ds.views, empty(ds), TdhHyper(maxIters = 0))
+    assert(none.iterations == 0 && !none.converged)
+  }
+
   // ---- golden outputs ------------------------------------------------------
   // 64-bit digests of the exact output bits of TdhLocal.run on the calibrated
   // datasets. Any change to the loop order or to a floating-point expression
@@ -202,13 +234,14 @@ class TdhLocalSpec extends AnyFunSuite {
     h
   }
 
-  private val golden: Map[(String, String), Long] = Map(
-    ("BirthPlaces", "empty log") -> -6810048431288983388L,
-    ("BirthPlaces", "3-round crowd log") -> -4845403586485639353L,
-    ("BirthPlaces", "maxIters=10 tol=0") -> -7917337343673983475L,
-    ("Heritages", "empty log") -> -8253040490579105933L,
-    ("Heritages", "3-round crowd log") -> -1548634695489183978L,
-    ("Heritages", "maxIters=10 tol=0") -> 5735584777864672750L,
+  /** (digest, EM iterations) per dataset and case. */
+  private val golden: Map[(String, String), (Long, Int)] = Map(
+    ("BirthPlaces", "empty log") -> (-6810048431288983388L, 100),
+    ("BirthPlaces", "3-round crowd log") -> (-4845403586485639353L, 100),
+    ("BirthPlaces", "maxIters=10 tol=0") -> (-7917337343673983475L, 10),
+    ("Heritages", "empty log") -> (-8253040490579105933L, 100),
+    ("Heritages", "3-round crowd log") -> (-1548634695489183978L, 100),
+    ("Heritages", "maxIters=10 tol=0") -> (5735584777864672750L, 10),
   )
 
   test("TdhLocal output bits match the golden digests") {
@@ -216,7 +249,10 @@ class TdhLocalSpec extends AnyFunSuite {
         ("empty log", empty(ds), TdhHyper()),
         ("3-round crowd log", crowdLog(ds), TdhHyper()),
         ("maxIters=10 tol=0", empty(ds), TdhHyper(maxIters = 10, tol = 0.0))))
-      yield (name, label) -> digest(TdhLocal.run(ds.views, log, hyper))
+      yield {
+        val res = TdhLocal.run(ds.views, log, hyper)
+        (name, label) -> (digest(res), res.iterations)
+      }
     assert(got.toMap == golden)
   }
 

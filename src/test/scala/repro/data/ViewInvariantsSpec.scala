@@ -1,6 +1,7 @@
 package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.TdhProb
 
 /** Structural invariants of the compiled ObjectView substrate over many
   * generated datasets.
@@ -12,6 +13,21 @@ class ViewInvariantsSpec extends AnyFunSuite {
     TruthDataGen.generate(base.copy(
       numObjects = 120, targetRecords = 420, hierNodes = 250,
       numSources = if (longTail) 90 else 7, seed = seed))
+  }
+
+  /** relType(u, v) is 1 iff u == v, 2 iff u ∈ anc(v), 3 otherwise. */
+  private def relationTableAgreesWithAnc(v: ObjectView): Unit =
+    for (u <- 0 until v.nCands; t <- 0 until v.nCands) {
+      val want = if (u == t) 1 else if (v.anc(t).contains(u)) 2 else 3
+      assert(TdhProb.relType(v, u, t) == want, s"obj=${v.obj} u=$u v=$t")
+    }
+
+  test("numeric rounding hierarchy: the relation-type table agrees with anc") {
+    for (attr <- StockGen.attrs) {
+      val views = StockGen.generate(attr, StockGen.Config(numSymbols = 100, seed = 3)).views
+      assert(views.exists(_.inOH), attr.name)
+      views.foreach(relationTableAgreesWithAnc)
+    }
   }
 
   for (seed <- 0L until 5L; longTail <- Seq(false, true)) {
@@ -35,6 +51,10 @@ class ViewInvariantsSpec extends AnyFunSuite {
       for (v <- ds.views; j <- 0 until v.nCands)
         assert(v.pop2den(j) + v.pop3den(j) + v.srcCount(j) == v.nRecords,
           s"obj=${v.obj} cand=$j")
+    }
+
+    test(s"$label: the relation-type table agrees with anc") {
+      ds.views.foreach(relationTableAgreesWithAnc)
     }
 
     test(s"$label: inOH is consistent with anc emptiness") {
