@@ -5,7 +5,7 @@ import repro.tables.{PaperNumbers, Tables}
 
 /** Reproduces Table 3 (§5.2): Accuracy / GenAccuracy / AvgDistance of 10
   * truth-inference algorithms on both datasets, without crowdsourcing.
-  * TDH additionally runs through the Spark DataFrame dataflow.
+  * TDH additionally runs through the object-partitioned Spark EM.
   *
   * Shape checks (not absolute numbers — see EXPERIMENTS.md): TDH wins
   * Accuracy and AvgDistance on both datasets, as in the paper.

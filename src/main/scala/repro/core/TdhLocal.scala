@@ -7,15 +7,15 @@ import scala.collection.mutable
 /** Reference implementation of the TDH EM algorithm (§3.2, Figure 4).
   *
   * This is the exact math of the paper on the compiled [[ObjectView]]
-  * substrate; [[TdhSpark]] expresses the same updates as DataFrame dataflow
-  * and is tested for equivalence against this implementation. The
-  * crowdsourcing round loops (Table 4) call this version because they re-run
-  * inference hundreds of times.
+  * substrate. The crowdsourcing round loops (Table 4) call this version
+  * because they re-run inference hundreds of times; [[TdhSpark]] runs the
+  * same per-object [[TdhLocal.Kernel]] on object partitions and is tested for
+  * equivalence against this implementation.
   *
   * Each run first compiles its inputs into dense arrays: sources and workers
   * get dense ids in order of first appearance, every record and answer is
-  * stored by that id, and φ, ψ, their accumulators and the f-sums are
-  * allocated once. An EM iteration then allocates nothing.
+  * stored by that id, and φ, ψ and their accumulators are allocated once. An
+  * EM iteration then allocates nothing.
   */
 object TdhLocal {
 
@@ -33,7 +33,7 @@ object TdhLocal {
     * its answers ansWkr/ansVal[ansOff(o), ansOff(o + 1)); srcIds/wkrIds map a
     * dense id back to the source/worker id.
     */
-  private final class Layout(
+  private[core] final class Layout(
       val srcIds: Array[Int],
       val wkrIds: Array[Int],
       val recOff: Array[Int],
@@ -41,10 +41,20 @@ object TdhLocal {
       val ansOff: Array[Int],
       val ansWkr: Array[Int],
       val ansVal: Array[Int],
-  )
+  ) extends Serializable {
+    /** Records per dense source id (the Eq. (10) denominator count). */
+    def claimsPerSource: Array[Int] = countIds(recSrc, srcIds.length)
+    /** Answers per dense worker id (the Eq. (11) denominator count). */
+    def claimsPerWorker: Array[Int] = countIds(ansWkr, wkrIds.length)
+    private def countIds(ids: Array[Int], n: Int): Array[Int] = {
+      val c = new Array[Int](n)
+      ids.foreach(i => c(i) += 1)
+      c
+    }
+  }
 
   /** Dense ids in order of first appearance, records before answers. */
-  private def compile(views: Array[ObjectView], answers: AnswerLog): Layout = {
+  private[core] def compile(views: Array[ObjectView], answers: AnswerLog): Layout = {
     val nObj = views.length
     val srcDense = mutable.HashMap.empty[Int, Int]
     val wkrDense = mutable.HashMap.empty[Int, Int]
@@ -79,41 +89,18 @@ object TdhLocal {
     * state; loops live in methods, where the JIT compiles them.
     */
   private final class Em(views: Array[ObjectView], layout: Layout, hyper: TdhHyper) {
-    import layout._
     private val nObj = views.length
-    private val gm1 = hyper.gamma - 1.0
-    private val nSrc = srcIds.length
-    private val nWkr = wkrIds.length
+    private val kernel = new Kernel(views, layout, hyper)
+    private val claimsPerSource = layout.claimsPerSource
+    private val claimsPerWorker = layout.claimsPerWorker
 
-    // --- state and scratch, allocated once per run ---------------------------
-    private val claimsPerSource = new Array[Int](nSrc)
-    recSrc.foreach(s => claimsPerSource(s) += 1)
-    private val claimsPerWorker = new Array[Int](nWkr)
-    ansWkr.foreach(w => claimsPerWorker(w) += 1)
-
-    // μ⁰: smoothed vote share; φ⁰ = α/Σα; ψ⁰ = β/Σβ.
-    private val mu = Array.tabulate(nObj) { o =>
-      val v = views(o)
-      val ansCount = new Array[Int](v.nCands)
-      var a = ansOff(o)
-      while (a < ansOff(o + 1)) { ansCount(ansVal(a)) += 1; a += 1 }
-      val den = v.nRecords + (ansOff(o + 1) - ansOff(o)) + v.nCands * gm1
-      Array.tabulate(v.nCands)(j => (v.srcCount(j) + ansCount(j) + gm1) / den)
-    }
-    private val phi = {
-      val aSum = hyper.alphaArr.sum
-      Array.fill(nSrc)(hyper.alphaArr.map(_ / aSum))
-    }
-    private val psi = {
-      val bSum = hyper.betaArr.sum
-      Array.fill(nWkr)(hyper.betaArr.map(_ / bSum))
-    }
-    private val phiAcc = Array.fill(nSrc)(new Array[Double](3))
-    private val psiAcc = Array.fill(nWkr)(new Array[Double](3))
-    private val fSum = views.map(v => new Array[Double](v.nCands))
+    private val mu = Array.tabulate(nObj)(kernel.initMu)
+    private val phi = priorMean(hyper.alphaArr, layout.srcIds.length)
+    private val psi = priorMean(hyper.betaArr, layout.wkrIds.length)
+    private val phiAcc = Array.fill(phi.length)(new Array[Double](3))
+    private val psiAcc = Array.fill(psi.length)(new Array[Double](3))
     private val muNum = views.map(v => new Array[Double](v.nCands))
     private val muDen = new Array[Double](nObj)
-    private val p = new Array[Double](views.iterator.map(_.nCands).maxOption.getOrElse(0))
 
     def run(): TdhResult = {
       var iter = 0
@@ -121,47 +108,11 @@ object TdhLocal {
       while (iter < hyper.maxIters && delta > hyper.tol) {
         phiAcc.foreach(java.util.Arrays.fill(_, 0.0))
         psiAcc.foreach(java.util.Arrays.fill(_, 0.0))
-        fSum.foreach(java.util.Arrays.fill(_, 0.0))
-
+        delta = 0.0
         var o = 0
         while (o < nObj) {
-          val view = views(o)
-          val muO = mu(o)
-
-          // E-step over source claims (f_{o,s}^v and g_{o,s}^t of Figure 4)
-          var r = 0
-          while (r < view.nRecords) {
-            val s = recSrc(recOff(o) + r)
-            accumulate(view, muO, view.srcVals(r), fSum(o), phiAcc(s), phi(s), worker = false)
-            r += 1
-          }
-          // E-step over worker answers (f_{o,w}^v and g_{o,w}^t)
-          var a = ansOff(o)
-          while (a < ansOff(o + 1)) {
-            val w = ansWkr(a)
-            accumulate(view, muO, ansVal(a), fSum(o), psiAcc(w), psi(w), worker = true)
-            a += 1
-          }
-
-          o += 1
-        }
-
-        // M-step: Eq. (9) for μ, Eq. (10) for φ, Eq. (11) for ψ.
-        delta = 0.0
-        o = 0
-        while (o < nObj) {
-          val view = views(o)
-          val den = view.nRecords + (ansOff(o + 1) - ansOff(o)) + view.nCands * gm1
-          muDen(o) = den
-          var j = 0
-          while (j < view.nCands) {
-            val num = fSum(o)(j) + gm1
-            muNum(o)(j) = num
-            val next = num / den
-            delta = math.max(delta, math.abs(next - mu(o)(j)))
-            mu(o)(j) = next
-            j += 1
-          }
+          delta = math.max(delta, kernel.step(o, mu(o), mu(o), muNum(o), phi, psi, phiAcc, psiAcc))
+          muDen(o) = kernel.den(o)
           o += 1
         }
         mStep(phi, phiAcc, claimsPerSource, hyper.alphaArr, hyper.alphaDen)
@@ -171,25 +122,97 @@ object TdhLocal {
 
       val truthIdx = Array.tabulate(nObj)(o => TdhProb.argmaxTruth(views(o), mu(o)))
       TdhResult(mu, muNum, muDen,
-        srcIds.indices.map(i => srcIds(i) -> phi(i)).toMap,
-        wkrIds.indices.map(i => wkrIds(i) -> psi(i)).toMap,
+        layout.srcIds.indices.map(i => layout.srcIds(i) -> phi(i)).toMap,
+        layout.wkrIds.indices.map(i => layout.wkrIds(i) -> psi(i)).toMap,
         truthIdx, iter, delta, delta <= hyper.tol)
     }
+  }
 
-    /** Eq. (10)/(11): the MAP trust update of every actor, in place. */
-    private def mStep(trust: Array[Array[Double]], acc: Array[Array[Double]], claims: Array[Int],
-        prior: Array[Double], priorDen: Double): Unit = {
-      var i = 0
-      while (i < trust.length) {
-        val den = claims(i) + priorDen
-        var t = 0
-        while (t < 3) { trust(i)(t) = math.max(1e-9, (acc(i)(t) + prior(t) - 1) / den); t += 1 }
-        i += 1
+  /** φ⁰ = α/Σα (or ψ⁰ = β/Σβ) for each of `n` actors. */
+  private[core] def priorMean(prior: Array[Double], n: Int): Array[Array[Double]] = {
+    val sum = prior.sum
+    Array.fill(n)(prior.map(_ / sum))
+  }
+
+  /** Eq. (10)/(11): the MAP trust update of every actor, in place. */
+  private[core] def mStep(trust: Array[Array[Double]], acc: Array[Array[Double]], claims: Array[Int],
+      prior: Array[Double], priorDen: Double): Unit = {
+    var i = 0
+    while (i < trust.length) {
+      val den = claims(i) + priorDen
+      var t = 0
+      while (t < 3) { trust(i)(t) = math.max(1e-9, (acc(i)(t) + prior(t) - 1) / den); t += 1 }
+      i += 1
+    }
+  }
+
+  /** The per-object body of an EM iteration over a compiled [[Layout]]: object
+    * o's E-step, then its Eq. (9) update of μ_o. [[TdhLocal]] and [[TdhSpark]]
+    * both run EM through it. Updating μ_o right after o's E-step is exact:
+    * f-sums of o depend only on μ_o and on φ/ψ, which an iteration holds fixed.
+    * `p` and `f` are scratch, so an instance serves one thread.
+    */
+  private[core] final class Kernel(views: Array[ObjectView], layout: Layout, hyper: TdhHyper) {
+    import layout._
+    private val gm1 = hyper.gamma - 1.0
+    private val maxCands = views.iterator.map(_.nCands).maxOption.getOrElse(0)
+    private val p = new Array[Double](maxCands)
+    private val f = new Array[Double](maxCands)
+
+    /** D_o, the Eq. (9) denominator: o's records and answers plus |V_o|(γ − 1). */
+    def den(o: Int): Double = views(o).nRecords + (ansOff(o + 1) - ansOff(o)) + views(o).nCands * gm1
+
+    /** μ⁰_o: the smoothed vote share over o's records and answers. */
+    def initMu(o: Int): Array[Double] = {
+      val v = views(o)
+      val ansCount = new Array[Int](v.nCands)
+      var a = ansOff(o)
+      while (a < ansOff(o + 1)) { ansCount(ansVal(a)) += 1; a += 1 }
+      val d = den(o)
+      Array.tabulate(v.nCands)(j => (v.srcCount(j) + ansCount(j) + gm1) / d)
+    }
+
+    /** Object o's E-step (f and g of Figure 4) under `muIn`, φ and ψ, adding
+      * the type posteriors of its claims into `phiAcc`/`psiAcc` by dense actor
+      * id; then Eq. (9): N_{o,v} into `num`, μ_o into `muOut` (which may be
+      * `muIn`). Returns max_v |Δμ_o(v)|.
+      */
+    def step(o: Int, muIn: Array[Double], muOut: Array[Double], num: Array[Double],
+        phi: Array[Array[Double]], psi: Array[Array[Double]],
+        phiAcc: Array[Array[Double]], psiAcc: Array[Array[Double]]): Double = {
+      val view = views(o)
+      java.util.Arrays.fill(f, 0, view.nCands, 0.0)
+      // E-step over source claims (f_{o,s}^v and g_{o,s}^t of Figure 4)
+      var r = 0
+      while (r < view.nRecords) {
+        val s = recSrc(recOff(o) + r)
+        accumulate(view, muIn, view.srcVals(r), phiAcc(s), phi(s), worker = false)
+        r += 1
       }
+      // E-step over worker answers (f_{o,w}^v and g_{o,w}^t)
+      var a = ansOff(o)
+      while (a < ansOff(o + 1)) {
+        val w = ansWkr(a)
+        accumulate(view, muIn, ansVal(a), psiAcc(w), psi(w), worker = true)
+        a += 1
+      }
+      // M-step: Eq. (9) for μ_o
+      val d = den(o)
+      var delta = 0.0
+      var j = 0
+      while (j < view.nCands) {
+        val n = f(j) + gm1
+        num(j) = n
+        val next = n / d
+        delta = math.max(delta, math.abs(next - muIn(j)))
+        muOut(j) = next
+        j += 1
+      }
+      delta
     }
 
     /** E-step contribution of one claim `u`:
-      * adds f^v (the truth posterior given this claim) into `fAcc` and the
+      * adds f^v (the truth posterior given this claim) into `f` and the
       * relationship-type posterior g^t into `gAcc`. The claim likelihood is
       * [[TdhProb.pWkr]] for a worker answer, [[TdhProb.pSrc]] otherwise.
       *
@@ -201,7 +224,6 @@ object TdhLocal {
         view: ObjectView,
         muO: Array[Double],
         u: Int,
-        fAcc: Array[Double],
         gAcc: Array[Double],
         trust: Array[Double],
         worker: Boolean,
@@ -216,14 +238,14 @@ object TdhLocal {
       if (z <= 0) return // claim impossible under current params; no responsibility
       v = 0
       while (v < n) {
-        val f = p(v) / z
-        fAcc(v) += f
+        val fv = p(v) / z
+        f(v) += fv
         if (view.inOH) {
-          gAcc(TdhProb.relType(view, u, v) - 1) += f
+          gAcc(TdhProb.relType(view, u, v) - 1) += fv
         } else if (u == v) {
           val t12 = trust(0) + trust(1)
-          if (t12 > 0) { gAcc(0) += f * trust(0) / t12; gAcc(1) += f * trust(1) / t12 }
-        } else gAcc(2) += f
+          if (t12 > 0) { gAcc(0) += fv * trust(0) / t12; gAcc(1) += fv * trust(1) / t12 }
+        } else gAcc(2) += fv
         v += 1
       }
     }

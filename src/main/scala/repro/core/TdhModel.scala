@@ -23,8 +23,9 @@ final case class TdhHyper(
 }
 
 /** The generative-model likelihood kernels of §3.1, shared by the EM
-  * ([[TdhLocal]], [[TdhSpark]]) and the task-assignment quality measures
-  * ([[repro.assign.Eai]], [[repro.assign.Qasca]]).
+  * ([[TdhLocal]], [[TdhSpark]]) and, through `InferState.answerProb`, the
+  * task-assignment quality measures ([[repro.assign.EaiAssigner]],
+  * [[repro.assign.QascaAssigner]]).
   *
   * All probabilities are over candidate *indices* inside one [[ObjectView]].
   */

@@ -1,23 +1,22 @@
 package repro.core
 
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.data.{AnswerLog, ObjectView, TdDataset}
 import repro.hier.Hierarchy
 
-/** TDH inference (§3) as iterative DataFrame aggregation/join — the
-  * distributed-dataflow form of [[TdhLocal]].
+/** TDH inference (§3) as object-partitioned EM on Spark — the distributed
+  * form of [[TdhLocal]], running the same per-object [[TdhLocal.Kernel]].
   *
-  * Static phase (once): the candidate relation, the hierarchy ancestor
-  * closure, and the (object, claim, candidate) relationship table with all
-  * per-pair constants of Eqs. (1)–(4) are computed with joins/aggregations.
-  *
-  * Iterative phase: each EM step joins the claims against the static relation
-  * and the current `mu`/`phi`/`psi` frames, normalizes the truth posterior
-  * with a window over each claim (E-step, Figure 4), and re-aggregates μ by
-  * (object, candidate) and φ/ψ by source/worker (M-step, Eqs. 9–11).
-  * State frames are localCheckpoint-ed every iteration to truncate lineage.
+  * μ_o depends only on object o's claims, and φ/ψ are three sums per actor.
+  * So records and answers are co-grouped by object into the session's default
+  * parallelism, each partition compiles its objects' [[ObjectView]]s once from
+  * a broadcast [[Hierarchy]], and an EM iteration is one job: every partition
+  * maps its μ under broadcast φ/ψ to a new μ plus its per-actor type sums and
+  * max |Δμ|. `run` folds the partial sums in partition order (so repeated
+  * runs agree bit for bit), applies the shared Eq. (10)/(11) M-step and
+  * broadcasts the result. μ never leaves its partition.
   *
   * Results match [[TdhLocal]] to float tolerance (see TdhSparkSpec).
   */
@@ -29,66 +28,76 @@ object TdhSpark {
       psi: DataFrame, // (worker, q1, q2, q3)
       truth: DataFrame, // (obj, truth)
       iterations: Int,
+      finalDelta: Double = Double.NaN, // max |Δμ| of the last iteration (Double.MaxValue if none ran)
+      converged: Boolean = false, // finalDelta reached the tolerance before the iteration cap
   )
 
-  /** Hierarchy as a DataFrame of (id, parent, depth). */
-  def nodesDf(spark: SparkSession, h: Hierarchy): DataFrame = {
-    import spark.implicits._
-    (0 until h.size).map(i => (i, h.parent(i), h.depth(i))).toDF("id", "parent", "depth")
-  }
-
-  /** Transitive ancestor closure (desc, anc) with the root excluded, computed
-    * by iterated self-joins of the parent relation (height−1 rounds).
+  /** The objects of one partition with their claims compiled by partition-local
+    * actor ids, and one EM iterate over them: μ, the per-actor type sums of the
+    * E-step that produced it, and its max |Δμ|. Immutable: each iteration makes
+    * a new Part, so a recomputed partition never starts from a later μ.
+    *
+    * @param rejected the first answer of the partition that does not fit its
+    *                 object, as an error message
     */
-  def ancestorClosure(nodes: DataFrame, height: Int): DataFrame = {
-    val edges = nodes.filter(col("parent") >= 0)
-      .select(col("id").as("desc"), col("parent").as("anc"))
-    var clo = edges
-    for (_ <- 2 to math.max(2, height)) {
-      val step = clo.as("c").join(edges.as("e"), col("c.anc") === col("e.desc"))
-        .select(col("c.desc").as("desc"), col("e.anc").as("anc"))
-      clo = clo.union(step).distinct()
+  private final class Part(
+      val views: Array[ObjectView],
+      val layout: TdhLocal.Layout,
+      val mu: Array[Array[Double]],
+      val phiAcc: Array[Array[Double]],
+      val psiAcc: Array[Array[Double]],
+      val delta: Double,
+      val rejected: Option[String],
+  ) extends Serializable {
+
+    /** One EM iteration under φ/ψ indexed by global actor id; srcIdx/wkrIdx map
+      * this partition's actor ids to global ones.
+      */
+    def next(phi: Array[Array[Double]], psi: Array[Array[Double]],
+        srcIdx: Array[Int], wkrIdx: Array[Int], hyper: TdhHyper): Part = {
+      val kernel = new TdhLocal.Kernel(views, layout, hyper)
+      val localPhi = srcIdx.map(phi)
+      val localPsi = wkrIdx.map(psi)
+      val nextPhiAcc = Array.fill(srcIdx.length)(new Array[Double](3))
+      val nextPsiAcc = Array.fill(wkrIdx.length)(new Array[Double](3))
+      val nextMu = views.map(v => new Array[Double](v.nCands))
+      val num = new Array[Double](views.iterator.map(_.nCands).maxOption.getOrElse(0))
+      var d = 0.0
+      for (o <- views.indices)
+        d = math.max(d, kernel.step(o, mu(o), nextMu(o), num, localPhi, localPsi, nextPhiAcc, nextPsiAcc))
+      new Part(views, layout, nextMu, nextPhiAcc, nextPsiAcc, d, rejected)
     }
-    clo.filter(col("anc") =!= 0)
   }
 
-  /** The static (obj, u, v) relation with every constant the EM needs:
-    * rel ∈ {1,2,3}, |G_o(v)| (`gsize`), |V_o| (`ncands`), o∈O_H (`inoh`),
-    * source-claim count of u (`srccnt_u`), Pop2/Pop3 denominators for v,
-    * and the depth of v for the specificity tie-break.
-    */
-  def staticRelation(records: DataFrame, nodes: DataFrame, closure: DataFrame): DataFrame = {
-    val cand = records.select("obj", "value").distinct()
-    val srcCnt = records.groupBy("obj", "value").agg(count(lit(1)).as("srccnt"))
-    val pair = cand.as("a").join(cand.as("b"), "obj")
-      .select(col("obj"), col("a.value").as("u"), col("b.value").as("v"))
-      .join(closure.as("cl"), col("v") === col("cl.desc") && col("u") === col("cl.anc"), "left")
-      .withColumn("rel",
-        when(col("u") === col("v"), lit(1))
-          .when(col("cl.anc").isNotNull, lit(2))
-          .otherwise(lit(3)))
-      .drop("desc", "anc")
-    val perV = pair.groupBy("obj", "v").agg(
-      sum(when(col("rel") === 2, 1).otherwise(0)).as("gsize"))
-    val perObj = perV.groupBy("obj").agg(
-      count(lit(1)).as("ncands"),
-      (max(col("gsize")) > 0).as("inoh"))
-    val pop2 = pair.filter(col("rel") === 2)
-      .join(srcCnt.withColumnRenamed("value", "u"), Seq("obj", "u"))
-      .groupBy("obj", "v").agg(sum("srccnt").as("pop2den"))
-    val nRec = records.groupBy("obj").agg(count(lit(1)).as("nrec"))
+  private object Part {
 
-    pair
-      .join(perV, Seq("obj", "v"))
-      .join(perObj, Seq("obj"))
-      .join(pop2, Seq("obj", "v"), "left")
-      .na.fill(0, Seq("pop2den"))
-      .join(nRec, Seq("obj"))
-      .join(srcCnt.withColumnRenamed("value", "u").withColumnRenamed("srccnt", "srccnt_u"), Seq("obj", "u"))
-      .join(srcCnt.withColumnRenamed("value", "v").withColumnRenamed("srccnt", "srccnt_v"), Seq("obj", "v"))
-      .join(nodes.select(col("id").as("v"), col("depth").as("vdepth")), Seq("v"))
-      .withColumn("pop3den", col("nrec") - col("srccnt_v") - col("pop2den"))
-      .withColumn("rest", col("ncands") - col("gsize") - 1)
+    /** Compile one partition's co-grouped claims, objects in id order and each
+      * object's claims sorted, so the partition iterates in a fixed order.
+      */
+    def build(
+        groups: Iterator[(Int, (Iterable[(Int, Int)], Iterable[(Int, Int)]))],
+        h: Hierarchy,
+        hyper: TdhHyper,
+    ): Part = {
+      val isAnc = (a: Int, d: Int) => a != h.root && h.isAncestor(a, d)
+      val objs = groups.toArray.sortBy(_._1)
+      var rejected = Option.empty[String]
+      def reject(o: Int, w: Int, v: Int, why: String): Unit =
+        if (rejected.isEmpty) rejected = Some(s"answer (obj, worker, value) = ($o, $w, $v): $why")
+      for ((o, (recs, ans)) <- objs if recs.isEmpty; (w, v) <- ans) reject(o, w, v, "the object has no records")
+      val kept = objs.filter(_._2._1.nonEmpty)
+      val views = kept.map { case (o, (recs, _)) => ObjectView.build(o, recs.toSeq.sorted, isAnc, h.depth) }
+      val log = new AnswerLog(kept.length)
+      for (i <- kept.indices; (w, v) <- kept(i)._2._2.toSeq.sorted) {
+        val j = views(i).candIndex(v)
+        if (j < 0) reject(views(i).obj, w, v, "the value is not a candidate of the object")
+        else log.add(i, w, j)
+      }
+      val layout = TdhLocal.compile(views, log)
+      val kernel = new TdhLocal.Kernel(views, layout, hyper)
+      new Part(views, layout, Array.tabulate(views.length)(kernel.initMu), Array.empty, Array.empty,
+        Double.MaxValue, rejected)
+    }
   }
 
   def run(
@@ -99,204 +108,77 @@ object TdhSpark {
       hyper: TdhHyper = TdhHyper(),
       maxIters: Int = 30,
   ): SparkRun = {
-    // The EM loop runs dozens of small shuffles; at SF<=0.1 the task-launch
-    // overhead of wide plans dominates, so pin a small partition count for
-    // the duration of the loop and restore the session setting afterwards.
-    val prevShuffle = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    try runInternal(spark, records, answers, h, hyper, maxIters)
-    finally spark.conf.set("spark.sql.shuffle.partitions", prevShuffle)
-  }
-
-  private def runInternal(
-      spark: SparkSession,
-      records: DataFrame,
-      answers: DataFrame,
-      h: Hierarchy,
-      hyper: TdhHyper,
-      maxIters: Int,
-  ): SparkRun = {
     import spark.implicits._
-    val nodes = nodesDf(spark, h)
-    val closure = ancestorClosure(nodes, h.height)
-    // One eager checkpoint: every iteration's plan then starts from a flat
-    // LogicalRDD instead of re-analyzing the multi-join static plan.
-    val static0 = staticRelation(records, nodes, closure).localCheckpoint(true)
+    val sc = spark.sparkContext
+    def byObj(df: DataFrame, actor: String): RDD[(Int, (Int, Int))] =
+      df.select("obj", actor, "value").rdd.map(r => (r.getInt(0), (r.getInt(1), r.getInt(2))))
+    val bcH = sc.broadcast(h)
+    var state: RDD[Part] = byObj(records, "source")
+      .cogroup(byObj(answers, "worker"), new HashPartitioner(sc.defaultParallelism))
+      .mapPartitions(it => Iterator(Part.build(it, bcH.value, hyper)))
+    state.localCheckpoint()
 
-    val gm1 = hyper.gamma - 1.0
-    val aArr = hyper.alphaArr
-    val bArr = hyper.betaArr
+    // Ingestion: every partition's actors and claim counts, and the first
+    // answer that does not fit its object.
+    val ingested = state.map(p =>
+      (p.layout.srcIds, p.layout.claimsPerSource, p.layout.wkrIds, p.layout.claimsPerWorker, p.rejected)).collect()
+    ingested.flatMap(_._5).headOption.foreach(msg => throw new IllegalArgumentException(msg))
+    val srcIds = ingested.flatMap(_._1).distinct.sorted
+    val wkrIds = ingested.flatMap(_._3).distinct.sorted
+    def toGlobal(ids: Array[Int], local: Array[Int]) = local.map(java.util.Arrays.binarySearch(ids, _))
+    val srcIdx = ingested.map(i => toGlobal(srcIds, i._1))
+    val wkrIdx = ingested.map(i => toGlobal(wkrIds, i._3))
+    def claims(n: Int, idx: Array[Array[Int]], counts: Array[Array[Int]]): Array[Int] = {
+      val c = new Array[Int](n)
+      for (k <- idx.indices; i <- idx(k).indices) c(idx(k)(i)) += counts(k)(i)
+      c
+    }
+    val claimsPerSource = claims(srcIds.length, srcIdx, ingested.map(_._2))
+    val claimsPerWorker = claims(wkrIds.length, wkrIdx, ingested.map(_._4))
+    val bcIdx = sc.broadcast((srcIdx, wkrIdx))
 
-    // claim counts per object (records + answers) -> μ denominators
-    val nRec = records.groupBy("obj").agg(count(lit(1)).as("nrec"))
-    val nAns = answers.groupBy("obj").agg(count(lit(1)).as("nans"))
-    val objDenDf = nRec.join(nAns, Seq("obj"), "left").na.fill(0, Seq("nans"))
-      .join(static0.select("obj", "ncands").distinct(), Seq("obj"))
-      .withColumn("den", col("nrec") + col("nans") + col("ncands") * gm1)
-      .select("obj", "den")
-    // EM state is tiny (|O|·|V_o| confidences, one triple per source/worker);
-    // it round-trips through the driver each iteration so every iteration's
-    // plan has constant depth — the heavy E/M work stays in the dataflow.
-    val objDen: Map[Int, Double] =
-      objDenDf.collect().map(r => r.getInt(0) -> r.getDouble(1)).toMap
-
-    // μ⁰: smoothed vote share over records + answers
-    val voteCnt = records.select("obj", "value")
-      .union(answers.select("obj", "value"))
-      .groupBy("obj", "value").agg(count(lit(1)).as("cnt"))
-    var muState: Map[(Int, Int), Double] = static0.select("obj", "v").distinct()
-      .join(voteCnt.withColumnRenamed("value", "v"), Seq("obj", "v"), "left")
-      .na.fill(0, Seq("cnt"))
-      .collect()
-      .map(r => (r.getInt(0), r.getInt(1)) -> (r.getLong(2) + gm1) / objDen(r.getInt(0)))
-      .toMap
-
-    // φ⁰ = α/Σα per source, ψ⁰ = β/Σβ per worker
-    val aSum = aArr.sum; val bSum = bArr.sum
-    val nSrcClaims: Map[Int, Long] = records.groupBy("source").agg(count(lit(1)))
-      .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-    val nWkrClaims: Map[Int, Long] = answers.groupBy("worker").agg(count(lit(1)))
-      .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-    var phiState: Map[Int, (Double, Double, Double)] =
-      nSrcClaims.keys.map(_ -> (aArr(0) / aSum, aArr(1) / aSum, aArr(2) / aSum)).toMap
-    var psiState: Map[Int, (Double, Double, Double)] =
-      nWkrClaims.keys.map(_ -> (bArr(0) / bSum, bArr(1) / bSum, bArr(2) / bSum)).toMap
-
-    def muDf: DataFrame =
-      muState.toSeq.map { case ((o, v), m) => (o, v, m) }.toDF("obj", "v", "mu")
-    def trustDf(st: Map[Int, (Double, Double, Double)], actor: String, c: (String, String, String)): DataFrame =
-      st.toSeq.map { case (a, (x, y, z)) => (a, x, y, z) }.toDF(actor, c._1, c._2, c._3)
-
+    val phi = TdhLocal.priorMean(hyper.alphaArr, srcIds.length)
+    val psi = TdhLocal.priorMean(hyper.betaArr, wkrIds.length)
     var iter = 0
     var delta = Double.MaxValue
     while (iter < maxIters && delta > hyper.tol) {
-      // ---- E-step: truth posterior f and type posterior g per claim row ----
-      val srcRows = eStep(
-        records.withColumnRenamed("value", "u"), "source", static0, muDf,
-        trustDf(phiState, "source", ("p1", "p2", "p3")),
-        "p1", "p2", "p3", popularityForWorkers = false).cache()
-      val ansRows = eStep(
-        answers.withColumnRenamed("value", "u"), "worker", static0, muDf,
-        trustDf(psiState, "worker", ("q1", "q2", "q3")),
-        "q1", "q2", "q3", popularityForWorkers = true).cache()
-
-      // ---- M-step: μ (Eq. 9) --------------------------------------------
-      val fSum = srcRows.select("obj", "v", "f")
-        .union(ansRows.select("obj", "v", "f"))
-        .groupBy("obj", "v").agg(sum("f").as("fsum"))
-        .collect().map(r => (r.getInt(0), r.getInt(1)) -> r.getDouble(2)).toMap
-      val muNew = muState.map { case (key @ (o, _), _) =>
-        key -> (fSum.getOrElse(key, 0.0) + gm1) / objDen(o)
+      // copies: mStep updates phi/psi in place, and a local-mode broadcast
+      // hands tasks the very object that was broadcast
+      val bcTrust = sc.broadcast((phi.map(_.clone), psi.map(_.clone)))
+      val next = state.mapPartitionsWithIndex { (k, parts) =>
+        val (ph, ps) = bcTrust.value
+        val (si, wi) = bcIdx.value
+        parts.map(_.next(ph, ps, si(k), wi(k), hyper))
       }
+      next.localCheckpoint()
+      val partials = next.map(p => (p.phiAcc, p.psiAcc, p.delta)).collect()
+      // Spark warns that a locally checkpointed RDD cannot be recomputed once
+      // unpersisted; nothing reads the previous iterate again.
+      state.unpersist(blocking = false)
+      state = next
 
-      // ---- M-step: φ (Eq. 10) and ψ (Eq. 11) ----------------------------
-      phiState = mStepTrust(srcRows, "source", nSrcClaims, aArr, hyper.alphaDen)
-      psiState = mStepTrust(ansRows, "worker", nWkrClaims, bArr, hyper.betaDen)
-      srcRows.unpersist()
-      ansRows.unpersist()
-
-      delta = muNew.map { case (key, m) => math.abs(m - muState(key)) }.foldLeft(0.0)(math.max)
-      muState = muNew
+      val phiAcc = Array.fill(srcIds.length)(new Array[Double](3))
+      val psiAcc = Array.fill(wkrIds.length)(new Array[Double](3))
+      delta = 0.0
+      for (k <- partials.indices) {
+        val (pa, qa, d) = partials(k)
+        for (i <- pa.indices; t <- 0 until 3) phiAcc(srcIdx(k)(i))(t) += pa(i)(t)
+        for (i <- qa.indices; t <- 0 until 3) psiAcc(wkrIdx(k)(i))(t) += qa(i)(t)
+        delta = math.max(delta, d)
+      }
+      TdhLocal.mStep(phi, phiAcc, claimsPerSource, hyper.alphaArr, hyper.alphaDen)
+      TdhLocal.mStep(psi, psiAcc, claimsPerWorker, hyper.betaArr, hyper.betaDen)
       iter += 1
     }
-    val mu = muDf
-    val phi = trustDf(phiState, "source", ("p1", "p2", "p3"))
-    val psi = trustDf(psiState, "worker", ("q1", "q2", "q3"))
 
-    // truth: argmax μ with (depth, -v) tie-break
-    val w = Window.partitionBy("obj")
-      .orderBy(col("mu").desc, col("vdepth").desc, col("v").asc)
-    val truth = mu.join(static0.select("obj", "v", "vdepth").distinct(), Seq("obj", "v"))
-      .withColumn("rk", row_number().over(w))
-      .filter(col("rk") === 1)
-      .select(col("obj"), col("v").as("truth"))
-
-    SparkRun(mu, phi, psi, truth, iter)
-  }
-
-  /** One claim-side E-step: returns rows (obj, actor, u, v, f, g1, g2, g3).
-    *
-    * `popularityForWorkers = false` applies the source likelihood Eq. (1)/(2);
-    * `true` applies the worker likelihood Eq. (3)/(4) with Pop2/Pop3.
-    */
-  private def eStep(
-      claims: DataFrame, // (obj, <actor>, u)
-      actorCol: String,
-      static0: DataFrame,
-      mu: DataFrame,
-      trust: DataFrame,
-      c1: String, c2: String, c3: String,
-      popularityForWorkers: Boolean,
-  ): DataFrame = {
-    val t1 = col(c1); val t2 = col(c2); val t3 = col(c3)
-    val rows = claims
-      .join(static0, Seq("obj", "u"))
-      .join(trust, Seq(actorCol))
-      .join(mu, Seq("obj", "v"))
-    val pclaim =
-      if (!popularityForWorkers) {
-        when(col("inoh"),
-          when(col("rel") === 1, t1)
-            .when(col("rel") === 2, t2 / col("gsize"))
-            .otherwise(when(col("rest") > 0, t3 / col("rest")).otherwise(lit(0.0))))
-          .otherwise(
-            when(col("rel") === 1, t1 + t2)
-              .otherwise(when(col("ncands") > 1, t3 / (col("ncands") - 1)).otherwise(lit(0.0))))
-      } else {
-        val pop2 = when(col("pop2den") > 0, col("srccnt_u") / col("pop2den"))
-          .otherwise(lit(1.0) / greatest(col("gsize"), lit(1)))
-        val pop3 = when(col("pop3den") > 0, col("srccnt_u") / col("pop3den"))
-          .otherwise(when(col("rest") > 0, lit(1.0) / col("rest")).otherwise(lit(0.0)))
-        when(col("inoh"),
-          when(col("rel") === 1, t1)
-            .when(col("rel") === 2, t2 * pop2)
-            .otherwise(t3 * pop3))
-          .otherwise(
-            when(col("rel") === 1, t1 + t2)
-              .otherwise(t3 * when(col("pop3den") > 0, col("srccnt_u") / col("pop3den"))
-                .otherwise(when(col("ncands") > 1, lit(1.0) / (col("ncands") - 1)).otherwise(lit(0.0)))))
-      }
-    val win = Window.partitionBy("obj", actorCol)
-    val withF = rows.withColumn("wgt", pclaim * col("mu"))
-      .withColumn("z", sum("wgt").over(win))
-      .withColumn("f", when(col("z") > 0, col("wgt") / col("z")).otherwise(lit(0.0)))
-    // relationship-type posterior; for o ∉ O_H an exact match splits across
-    // types 1 and 2 proportionally to (trust1, trust2)
-    val split12 = t1 + t2
-    withF
-      .withColumn("g1",
-        when(col("inoh") && col("rel") === 1, col("f"))
-          .when(!col("inoh") && col("rel") === 1,
-            when(split12 > 0, col("f") * t1 / split12).otherwise(lit(0.0)))
-          .otherwise(lit(0.0)))
-      .withColumn("g2",
-        when(col("inoh") && col("rel") === 2, col("f"))
-          .when(!col("inoh") && col("rel") === 1,
-            when(split12 > 0, col("f") * t2 / split12).otherwise(lit(0.0)))
-          .otherwise(lit(0.0)))
-      .withColumn("g3", when(col("rel") === 3, col("f")).otherwise(lit(0.0)))
-      .select(col("obj"), col(actorCol), col("u"), col("v"), col("f"), col("g1"), col("g2"), col("g3"))
-  }
-
-  /** Trust M-step: (Σ g_t + prior_t − 1) / (n_claims + Σ(prior − 1)),
-    * aggregated in the dataflow and collected into the (tiny) driver state.
-    */
-  private def mStepTrust(
-      eRows: DataFrame,
-      actorCol: String,
-      nClaims: Map[Int, Long],
-      prior: Array[Double],
-      priorDen: Double,
-  ): Map[Int, (Double, Double, Double)] = {
-    eRows.groupBy(actorCol)
-      .agg(sum("g1").as("s1"), sum("g2").as("s2"), sum("g3").as("s3"))
-      .collect()
-      .map { r =>
-        val a = r.getInt(0)
-        val den = nClaims(a) + priorDen
-        def upd(t: Int, s: Double) = math.max(1e-9, (s + prior(t) - 1) / den)
-        a -> (upd(0, r.getDouble(1)), upd(1, r.getDouble(2)), upd(2, r.getDouble(3)))
-      }.toMap
+    val mu = state.flatMap(p => for (o <- p.views.indices; j <- 0 until p.views(o).nCands)
+      yield (p.views(o).obj, p.views(o).cands(j), p.mu(o)(j))).toDF("obj", "v", "mu")
+    val truth = state.flatMap(p => p.views.indices.map(o =>
+      (p.views(o).obj, p.views(o).cands(TdhProb.argmaxTruth(p.views(o), p.mu(o)))))).toDF("obj", "truth")
+    def trustDf(ids: Array[Int], t: Array[Array[Double]], cols: String*) =
+      ids.indices.map(i => (ids(i), t(i)(0), t(i)(1), t(i)(2))).toDF(cols: _*)
+    SparkRun(mu, trustDf(srcIds, phi, "source", "p1", "p2", "p3"), trustDf(wkrIds, psi, "worker", "q1", "q2", "q3"),
+      truth, iter, delta, delta <= hyper.tol)
   }
 
   /** Convenience: run the dataflow on a [[TdDataset]] + answer log and return

@@ -1,6 +1,5 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.hier.Hierarchy
 
 import scala.collection.mutable
@@ -44,7 +43,7 @@ final class ObjectView(
     val inOH: Boolean,
     val srcCount: Array[Int],
     val rel: Array[Byte],
-) {
+) extends Serializable {
   val nCands: Int = cands.length
   val nRecords: Int = srcIds.length
 
@@ -131,12 +130,6 @@ final case class TdDataset(
       val ancCands = v.cands.filter(c => c != hierarchy.root && hierarchy.isAncestor(c, g))
       if (ancCands.isEmpty) g else ancCands.maxBy(hierarchy.depth)
     }
-  }
-
-  /** Records as a DataFrame (obj, source, value) for the Spark dataflow path. */
-  def recordsDf(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    records.toDF()
   }
 }
 

@@ -12,7 +12,7 @@ import scala.util.Random
   * @param parent parent(i) = parent node of i; parent(0) == -1 for the root
   * @param labels human-readable node labels (generator-produced)
   */
-final class Hierarchy(val parent: Array[Int], val labels: Array[String]) {
+final class Hierarchy(val parent: Array[Int], val labels: Array[String]) extends Serializable {
   require(parent.length == labels.length, "parent/labels size mismatch")
   require(parent.nonEmpty && parent(0) == -1, "node 0 must be the root")
 

@@ -48,7 +48,7 @@ object Tables {
       QualityRow(alg.name, Metrics.accuracy(ds, est), Metrics.genAccuracy(ds, est), Metrics.avgDistance(ds, est))
     }
 
-  /** TDH through the Spark DataFrame dataflow (same model, distributed path). */
+  /** TDH through the object-partitioned Spark EM (same kernel, distributed path). */
   def table3TdhSpark(spark: SparkSession, ds: TdDataset, maxIters: Int = 20): QualityRow = {
     val (_, est) = TdhSpark.runOnDataset(spark, ds, new AnswerLog(ds.numObjects), maxIters = maxIters)
     QualityRow("TDH(spark)", Metrics.accuracy(ds, est), Metrics.genAccuracy(ds, est), Metrics.avgDistance(ds, est))

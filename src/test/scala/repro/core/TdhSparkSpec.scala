@@ -1,73 +1,55 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Fixtures, Oracle, SparkSpec}
-import repro.data.{AnswerLog, TruthDataGen}
+import repro.crowd.SimWorkers
+import repro.data.{Answer, AnswerLog, TdDataset, TruthDataGen}
 
-/** Equivalence of the DataFrame dataflow ([[TdhSpark]]) with the reference
-  * implementation ([[TdhLocal]]), plus DuckDB oracle checks of the static
-  * relational computations.
+/** Equivalence of the object-partitioned Spark EM ([[TdhSpark]]) with the
+  * reference implementation ([[TdhLocal]]), its determinism and input checks,
+  * plus DuckDB oracle checks of aggregations over the claims relation.
   */
 class TdhSparkSpec extends SparkSpec {
 
   private def fixedIterHyper(n: Int) = TdhHyper(maxIters = n, tol = 0.0)
 
-  test("ancestorClosure matches a DuckDB recursive CTE") {
-    val h = Fixtures.geo
-    val nodes = TdhSpark.nodesDf(spark, h)
-    val clo = TdhSpark.ancestorClosure(nodes, h.height)
-      .select(col("desc").as("descn"), col("anc"))
-    Oracle.assertEquivalent(
-      clo,
-      """WITH RECURSIVE clo AS (
-        |  SELECT id AS descn, parent AS anc FROM nodes WHERE CAST(parent AS INT) >= 0
-        |  UNION
-        |  SELECT c.descn, n.parent FROM clo c JOIN nodes n ON c.anc = n.id
-        |   WHERE CAST(n.parent AS INT) >= 0
-        |)
-        |SELECT CAST(descn AS INT) AS descn, CAST(anc AS INT) AS anc
-        |  FROM clo WHERE CAST(anc AS INT) <> 0""".stripMargin,
-      "nodes" -> nodes,
-    )
+  /** The 120-object generated BirthPlaces-like dataset. */
+  private lazy val generated = TruthDataGen.generate(
+    TruthDataGen.birthPlacesConfig.copy(numObjects = 120, targetRecords = 420, hierNodes = 300, seed = 5))
+
+  /** Answers of 3 simulated workers on every third object of `ds`. */
+  private def workerLog(ds: TdDataset): AnswerLog = {
+    val log = new AnswerLog(ds.numObjects)
+    val workers = SimWorkers.uniform(3, 0.75, seed = 9)
+    for (o <- 0 until ds.numObjects by 3; w <- workers.ids if (o / 3 + w) % 3 != 0)
+      log.add(o, w, workers.answer(ds, w, o))
+    log
   }
 
-  test("ancestorClosure agrees with Hierarchy.isAncestor on a random tree") {
-    val h = repro.hier.Hierarchy.randomTree(200, 5, 17)
-    val clo = TdhSpark.ancestorClosure(TdhSpark.nodesDf(spark, h), h.height)
-      .collect().map(r => (r.getInt(0), r.getInt(1))).toSet
-    val expected = (for {
-      d <- 1 until h.size
-      a <- h.ancestorsNoRoot(d)
-    } yield (d, a)).toSet
-    assert(clo == expected)
-  }
+  private def muOf(run: TdhSpark.SparkRun): Map[(Int, Int), Double] =
+    run.mu.collect().map(r => (r.getInt(0), r.getInt(1)) -> r.getDouble(2)).toMap
+  private def trustOf(df: DataFrame): Map[Int, Seq[Double]] =
+    df.collect().map(r => r.getInt(0) -> Seq(r.getDouble(1), r.getDouble(2), r.getDouble(3))).toMap
+  /** The objects each partition of the run holds. */
+  private def partitionObjects(run: TdhSpark.SparkRun): Seq[Set[Int]] =
+    run.truth.rdd.mapPartitions(it => Iterator(it.map(_.getInt(0)).toSet)).collect().toSeq
 
-  test("static relation reproduces the ObjectView constants on the Table-1 world") {
-    val ds = Fixtures.table1World()
-    val nodes = TdhSpark.nodesDf(spark, ds.hierarchy)
-    val closure = TdhSpark.ancestorClosure(nodes, ds.hierarchy.height)
-    import spark.implicits._
-    val static0 = TdhSpark.staticRelation(ds.records.toDF(), nodes, closure)
-    val rows = static0.collect().map { r =>
-      ((r.getAs[Int]("obj"), r.getAs[Int]("u"), r.getAs[Int]("v")),
-        (r.getAs[Int]("rel"), r.getAs[Long]("gsize"), r.getAs[Long]("ncands"),
-          r.getAs[Boolean]("inoh"), r.getAs[Long]("srccnt_u"),
-          r.getAs[Long]("pop2den"), r.getAs[Long]("pop3den")))
-    }.toMap
-    for (o <- 0 until ds.numObjects) {
-      val view = ds.views(o)
-      for (ui <- 0 until view.nCands; vi <- 0 until view.nCands) {
-        val key = (o, view.cands(ui), view.cands(vi))
-        val (rel, gsize, ncands, inoh, srccntU, pop2den, pop3den) = rows(key)
-        assert(rel == TdhProb.relType(view, ui, vi), s"rel mismatch at $key")
-        assert(gsize == view.anc(vi).length, s"gsize mismatch at $key")
-        assert(ncands == view.nCands)
-        assert(inoh == view.inOH)
-        assert(srccntU == view.srcCount(ui))
-        assert(pop2den == view.pop2den(vi), s"pop2den mismatch at $key")
-        assert(pop3den == view.pop3den(vi), s"pop3den mismatch at $key")
-      }
+  /** μ, φ and ψ within 1e-9 of `local`, and identical truths. */
+  private def assertMatchesLocal(ds: TdDataset, local: TdhResult, run: TdhSpark.SparkRun, est: Array[Int]): Unit = {
+    val mu = muOf(run)
+    assert(mu.size == ds.views.map(_.nCands).sum)
+    for (o <- 0 until ds.numObjects; j <- 0 until ds.views(o).nCands) {
+      val got = mu((o, ds.views(o).cands(j)))
+      assert(math.abs(got - local.mu(o)(j)) < 1e-9, s"mu mismatch obj=$o j=$j got=$got want=${local.mu(o)(j)}")
     }
+    for ((df, want) <- Seq(run.phi -> local.phi, run.psi -> local.psi)) {
+      val got = trustOf(df)
+      assert(got.keySet == want.keySet)
+      for ((a, p) <- want; t <- 0 until 3)
+        assert(math.abs(got(a)(t) - p(t)) < 1e-9, s"trust mismatch actor=$a t=$t")
+    }
+    assert(est.toSeq == local.truthValues(ds.views).toSeq)
   }
 
   test("vote-count aggregation matches DuckDB (oracle)") {
@@ -81,6 +63,35 @@ class TdhSparkSpec extends SparkSpec {
         "FROM records GROUP BY obj, value",
       "records" -> records,
     )
+  }
+
+  test("oracle validates a grouped aggregation over the claims relation") {
+    import spark.implicits._
+    val records = generated.records.toDF()
+    val agg = records.groupBy("source").agg(
+      count(lit(1)).as("cnt"),
+      countDistinct("obj").as("objs"),
+      avg("value").as("meanval"),
+    )
+    Oracle.assertEquivalent(
+      agg,
+      "SELECT CAST(source AS INT) AS source, COUNT(*) AS cnt, COUNT(DISTINCT obj) AS objs, " +
+        "AVG(CAST(value AS INT)) AS meanval FROM records GROUP BY source",
+      "records" -> records,
+    )
+  }
+
+  test("oracle catches a wrong result") {
+    import spark.implicits._
+    val records = generated.records.toDF()
+    val wrong = records.groupBy("source").agg((count(lit(1)) + 1).as("cnt"))
+    intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(
+        wrong,
+        "SELECT CAST(source AS INT) AS source, COUNT(*) AS cnt FROM records GROUP BY source",
+        "records" -> records,
+      )
+    }
   }
 
   test("TdhSpark mu equals TdhLocal mu after the same fixed iteration count (Table-1 world)") {
@@ -130,5 +141,68 @@ class TdhSparkSpec extends SparkSpec {
     val ds = Fixtures.table1World()
     val (run, _) = TdhSpark.runOnDataset(spark, ds, new AnswerLog(ds.numObjects), TdhHyper(tol = 1e-4), maxIters = 40)
     assert(run.iterations < 40)
+  }
+
+  test("TdhSpark reports the final delta and convergence by the TdhLocal stopping rule") {
+    val ds = Fixtures.table1World()
+    val empty = new AnswerLog(ds.numObjects)
+    for ((hyper, converges) <- Seq(TdhHyper(tol = 1e-4, maxIters = 40) -> true, fixedIterHyper(3) -> false)) {
+      val local = TdhLocal.run(ds.views, empty, hyper)
+      val (run, _) = TdhSpark.runOnDataset(spark, ds, empty, hyper, maxIters = hyper.maxIters)
+      assert(run.converged == converges && local.converged == converges, hyper)
+      assert(if (converges) run.finalDelta <= hyper.tol else run.finalDelta > 0.0, hyper)
+      assert(run.iterations == local.iterations, hyper)
+      assert(math.abs(run.finalDelta - local.finalDelta) < 1e-9, hyper)
+    }
+  }
+
+  test("TdhSpark mu, phi, psi and truths equal TdhLocal with worker answers over several partitions") {
+    val ds = generated
+    val answers = workerLog(ds)
+    assert(answers.totalAnswers > 0)
+    val hyper = fixedIterHyper(10)
+    val local = TdhLocal.run(ds.views, answers, hyper)
+    val (run, est) = TdhSpark.runOnDataset(spark, ds, answers, hyper, maxIters = 10)
+    val parts = partitionObjects(run)
+    assert(parts.count(_.nonEmpty) >= 2)
+    assert(parts.count(_.exists(answers.count(_) > 0)) >= 2, "answered objects must span partitions")
+    assert(local.psi.size >= 2)
+    assertMatchesLocal(ds, local, run, est)
+  }
+
+  test("TdhSpark runs are bit-identical") {
+    val ds = generated
+    val answers = workerLog(ds)
+    def bits(run: TdhSpark.SparkRun) = (
+      muOf(run).toSeq.sortBy(_._1).map(e => e._1 -> java.lang.Double.doubleToLongBits(e._2)),
+      trustOf(run.phi).toSeq.sortBy(_._1).map(e => e._1 -> e._2.map(java.lang.Double.doubleToLongBits)),
+    )
+    val runs = Seq.fill(2)(TdhSpark.runOnDataset(spark, ds, answers, fixedIterHyper(5), maxIters = 5)._1)
+    assert(bits(runs(0)) == bits(runs(1)))
+  }
+
+  test("TdhSpark equals TdhLocal when some partitions hold no object (Table-1 world)") {
+    val full = Fixtures.table1World()
+    val ds = TdDataset(full.hierarchy, 1, full.numSources, full.records.filter(_.obj == 0), full.gold.take(1))
+    val answers = new AnswerLog(1)
+    answers.add(0, 0, ds.views(0).candIndex(Fixtures.LibertyIsland))
+    answers.add(0, 1, ds.views(0).candIndex(Fixtures.NY))
+    val local = TdhLocal.run(ds.views, answers, fixedIterHyper(8))
+    val (run, est) = TdhSpark.runOnDataset(spark, ds, answers, fixedIterHyper(8), maxIters = 8)
+    assert(partitionObjects(run).exists(_.isEmpty))
+    assertMatchesLocal(ds, local, run, est)
+  }
+
+  test("an answer that does not fit its object fails at ingestion, naming (obj, worker, value)") {
+    import spark.implicits._
+    val ds = Fixtures.table1World()
+    val records = ds.records.toDF()
+    def failure(answers: Answer*): String =
+      intercept[IllegalArgumentException](TdhSpark.run(spark, records, answers.toDF(), ds.hierarchy, maxIters = 2))
+        .getMessage
+    // London is not a candidate of the Statue of Liberty
+    assert(failure(Answer(0, 7, Fixtures.LibertyIsland), Answer(0, 9, Fixtures.London)).contains("(0, 9, 7)"))
+    // object 99 has no records
+    assert(failure(Answer(99, 4, Fixtures.NY)).contains(s"(99, 4, ${Fixtures.NY})"))
   }
 }
