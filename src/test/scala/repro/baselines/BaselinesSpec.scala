@@ -194,4 +194,21 @@ class BaselinesSpec extends AnyFunSuite {
       assert(st.truthValues(1) == Manchester, s"${alg.name} ignored crowd answers")
     }
   }
+
+  // 64-bit digests of the exact bits of LFC's μ and truths on the calibrated
+  // datasets with an empty log. A change to LFC's loop order or to one of its
+  // floating-point expressions shows up here.
+  private def lfcDigest(st: InferState): Long = {
+    var h = 0xcbf29ce484222325L
+    def mix(x: Long): Unit = { h = (h ^ x) * 0x100000001b3L; h ^= h >>> 29 }
+    st.mu.foreach(_.foreach(x => mix(java.lang.Double.doubleToLongBits(x))))
+    st.truthIdx.foreach(i => mix(i.toLong))
+    h
+  }
+
+  test("LFC output bits match the golden digests") {
+    val got = for ((name, ds) <- Seq("BirthPlaces" -> TruthDataGen.birthPlaces(), "Heritages" -> TruthDataGen.heritages()))
+      yield name -> lfcDigest(new LfcInference().infer(ds.views, empty(ds)))
+    assert(got.toMap == Map("BirthPlaces" -> -6621199513121627394L, "Heritages" -> -8621982383887422796L))
+  }
 }
