@@ -65,10 +65,8 @@ final class LfcInference(maxIters: Int = 50) extends TruthInference {
       }
       pi.keys.foreach { a =>
         val m = acc(a)
-        pi(a) = Array.tabulate(k, k) { (j, l) =>
-          val rowSum = m(j).sum
-          (m(j)(l) + 0.1) / (rowSum + 0.1 * k) // Laplace-smoothed row normalization
-        }
+        val rowSum = m.map(_.sum)
+        pi(a) = Array.tabulate(k, k)((j, l) => (m(j)(l) + 0.1) / (rowSum(j) + 0.1 * k)) // Laplace-smoothed rows
       }
       iter += 1
     }
