@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{TdhHyper, TdhLocal, TdhProb}
+import repro.core.{TdhHyper, TdhLocal, TdhProb, TdhResult}
 import repro.data.{AnswerLog, ObjectView}
 
 /** Result of one truth-inference run, in the shape the task-assignment
@@ -15,6 +15,8 @@ import repro.data.{AnswerLog, ObjectView}
   *                  correctly (TDH's ψ_w,1; an accuracy estimate elsewhere)
   * @param muNum,muDen the N_{o,v} / D_o statistics of Eq. (9) when the
   *                  algorithm exposes them (TDH); EAI requires them
+  * @param tdh       the TDH run behind this state, if any: the next crowd
+  *                  round's EM starts from it
   */
 final case class InferState(
     views: Array[ObjectView],
@@ -24,6 +26,7 @@ final case class InferState(
     workerAcc: Map[Int, Double],
     muNum: Option[Array[Array[Double]]] = None,
     muDen: Option[Array[Double]] = None,
+    tdh: Option[TdhResult] = None,
 ) {
   def truthValues: Array[Int] = Array.tabulate(truthIdx.length)(o => views(o).cands(truthIdx(o)))
 }
@@ -32,6 +35,13 @@ final case class InferState(
 trait TruthInference {
   def name: String
   def infer(views: Array[ObjectView], answers: AnswerLog): InferState
+
+  /** Inference after `previous`, this algorithm's state on the same views
+    * under an earlier prefix of `answers`. TDH starts its EM from it (the
+    * previous state of §4.2's incremental EM); the default ignores it.
+    */
+  def infer(views: Array[ObjectView], answers: AnswerLog, previous: InferState): InferState =
+    infer(views, answers)
 }
 
 object TruthInference {
@@ -52,8 +62,13 @@ object TruthInference {
 final class TdhInference(hyper: TdhHyper = TdhHyper()) extends TruthInference {
   val name = "TDH"
 
-  def infer(views: Array[ObjectView], answers: AnswerLog): InferState = {
-    val res = TdhLocal.run(views, answers, hyper)
+  def infer(views: Array[ObjectView], answers: AnswerLog): InferState =
+    state(views, TdhLocal.run(views, answers, hyper))
+
+  override def infer(views: Array[ObjectView], answers: AnswerLog, previous: InferState): InferState =
+    state(views, TdhLocal.run(views, answers, hyper, previous.tdh))
+
+  private def state(views: Array[ObjectView], res: TdhResult): InferState = {
     val bSum = hyper.betaArr.sum
     val defaultPsi = hyper.betaArr.map(_ / bSum)
     val psiOf = (w: Int) => res.psi.getOrElse(w, defaultPsi)
@@ -65,6 +80,7 @@ final class TdhInference(hyper: TdhHyper = TdhHyper()) extends TruthInference {
       res.psi.map { case (w, p) => w -> p(0) },
       Some(res.muNum),
       Some(res.muDen),
+      Some(res),
     )
   }
 }

@@ -19,14 +19,46 @@ import scala.collection.mutable
   */
 object TdhLocal {
 
-  /** Run MAP-EM until max |Δμ| ≤ `hyper.tol` or `hyper.maxIters` iterations,
-    * whichever comes first; the result says which.
+  /** Run MAP-EM through [[EmDriver]] (SQUAREM-accelerated) until one map
+    * evaluation moves μ by at most `hyper.tol`, or for `hyper.maxIters` map
+    * evaluations; the result says which.
     *
     * @param views    compiled per-object candidate structures
     * @param answers  crowdsourcing answers accumulated so far (may be empty)
+    * @param init     a previous result on the same views to start from (§4.2):
+    *                 its μ per object and its φ/ψ per actor id; actors it does
+    *                 not know start at the prior mean. Cold start if empty.
     */
-  def run(views: Array[ObjectView], answers: AnswerLog, hyper: TdhHyper = TdhHyper()): TdhResult =
-    new Em(views, compile(views, answers), hyper).run()
+  def run(views: Array[ObjectView], answers: AnswerLog, hyper: TdhHyper = TdhHyper(),
+      init: Option[TdhResult] = None): TdhResult =
+    em(views, answers, hyper, init, accelerate = true)._1
+
+  /** One EM run and the driver's record of it; plain EM (each iterate the map
+    * of the previous one) unless `accelerate`.
+    */
+  private[core] def em(views: Array[ObjectView], answers: AnswerLog, hyper: TdhHyper, init: Option[TdhResult],
+      accelerate: Boolean): (TdhResult, EmDriver.Outcome) = {
+    val layout = compile(views, answers)
+    val kernel = new Kernel(views, layout, hyper)
+    val mu0 = init match {
+      case Some(prev) =>
+        require(prev.mu.length == views.length && views.indices.forall(o => prev.mu(o).length == views(o).nCands),
+          "init must be a result on the same views")
+        prev.mu.map(_.clone)
+      case None => Array.tabulate(views.length)(kernel.initMu)
+    }
+    val mu = new LocalMu(kernel, views, mu0)
+    val out = EmDriver.run(mu, hyper, layout.claimsPerSource, layout.claimsPerWorker,
+      EmDriver.startTrust(layout.srcIds, hyper.alphaArr, init.map(_.phi)),
+      EmDriver.startTrust(layout.wkrIds, hyper.betaArr, init.map(_.psi)), hyper.maxIters, accelerate)
+    val muOut = mu.mu(out.slot)
+    val truthIdx = Array.tabulate(views.length)(o => TdhProb.argmaxTruth(views(o), muOut(o)))
+    val res = TdhResult(muOut, mu.num(out.slot), Array.tabulate(views.length)(kernel.den),
+      layout.srcIds.indices.map(i => layout.srcIds(i) -> out.phi(i)).toMap,
+      layout.wkrIds.indices.map(i => layout.wkrIds(i) -> out.psi(i)).toMap,
+      truthIdx, out.evals, out.delta, out.converged, out.objective)
+    (res, out)
+  }
 
   /** The claims of one run by dense actor id. Object o's records are
     * recSrc[recOff(o), recOff(o + 1)) (candidate indices stay in its view),
@@ -85,53 +117,17 @@ object TdhLocal {
     new Layout(srcIds.toArray, wkrIds.toArray, recOff, recSrc, ansOff, ansWkr.toArray, ansVal.toArray)
   }
 
-  /** One MAP-EM run over a compiled [[Layout]]. The constructor allocates all
-    * state; loops live in methods, where the JIT compiles them.
+  /** μ of a local run: [[EmDriver.Slots]] arrays per object, and the Eq. (9)
+    * numerators N of the evaluation that wrote each slot.
     */
-  private final class Em(views: Array[ObjectView], layout: Layout, hyper: TdhHyper) {
-    private val nObj = views.length
-    private val kernel = new Kernel(views, layout, hyper)
-    private val claimsPerSource = layout.claimsPerSource
-    private val claimsPerWorker = layout.claimsPerWorker
+  private final class LocalMu(kernel: Kernel, views: Array[ObjectView], mu0: Array[Array[Double]]) extends MuBackend {
+    val mu: Array[Array[Array[Double]]] =
+      Array.tabulate(EmDriver.Slots)(s => if (s == 0) mu0 else views.map(v => new Array[Double](v.nCands)))
+    val num: Array[Array[Array[Double]]] = Array.fill(EmDriver.Slots)(views.map(v => new Array[Double](v.nCands)))
 
-    private val mu = Array.tabulate(nObj)(kernel.initMu)
-    private val phi = priorMean(hyper.alphaArr, layout.srcIds.length)
-    private val psi = priorMean(hyper.betaArr, layout.wkrIds.length)
-    private val phiAcc = Array.fill(phi.length)(new Array[Double](3))
-    private val psiAcc = Array.fill(psi.length)(new Array[Double](3))
-    private val muNum = views.map(v => new Array[Double](v.nCands))
-    private val muDen = new Array[Double](nObj)
-
-    def run(): TdhResult = {
-      var iter = 0
-      var delta = Double.MaxValue
-      while (iter < hyper.maxIters && delta > hyper.tol) {
-        phiAcc.foreach(java.util.Arrays.fill(_, 0.0))
-        psiAcc.foreach(java.util.Arrays.fill(_, 0.0))
-        delta = 0.0
-        var o = 0
-        while (o < nObj) {
-          delta = math.max(delta, kernel.step(o, mu(o), mu(o), muNum(o), phi, psi, phiAcc, psiAcc))
-          muDen(o) = kernel.den(o)
-          o += 1
-        }
-        mStep(phi, phiAcc, claimsPerSource, hyper.alphaArr, hyper.alphaDen)
-        mStep(psi, psiAcc, claimsPerWorker, hyper.betaArr, hyper.betaDen)
-        iter += 1
-      }
-
-      val truthIdx = Array.tabulate(nObj)(o => TdhProb.argmaxTruth(views(o), mu(o)))
-      TdhResult(mu, muNum, muDen,
-        layout.srcIds.indices.map(i => layout.srcIds(i) -> phi(i)).toMap,
-        layout.wkrIds.indices.map(i => layout.wkrIds(i) -> psi(i)).toMap,
-        truthIdx, iter, delta, delta <= hyper.tol)
-    }
-  }
-
-  /** φ⁰ = α/Σα (or ψ⁰ = β/Σβ) for each of `n` actors. */
-  private[core] def priorMean(prior: Array[Double], n: Int): Array[Array[Double]] = {
-    val sum = prior.sum
-    Array.fill(n)(prior.map(_ / sum))
+    def eval(e: MapEval, phi: Array[Array[Double]], psi: Array[Array[Double]],
+        phiAcc: Array[Array[Double]], psiAcc: Array[Array[Double]]): EvalStats =
+      kernel.eval(e, mu, mu, num(e.out), phi, psi, phiAcc, psiAcc)
   }
 
   /** Eq. (10)/(11): the MAP trust update of every actor, in place. */
@@ -150,7 +146,7 @@ object TdhLocal {
     * o's E-step, then its Eq. (9) update of μ_o. [[TdhLocal]] and [[TdhSpark]]
     * both run EM through it. Updating μ_o right after o's E-step is exact:
     * f-sums of o depend only on μ_o and on φ/ψ, which an iteration holds fixed.
-    * `p` and `f` are scratch, so an instance serves one thread.
+    * `p`, `f` and `logPost` are scratch, so an instance serves one thread.
     */
   private[core] final class Kernel(views: Array[ObjectView], layout: Layout, hyper: TdhHyper) {
     import layout._
@@ -158,6 +154,33 @@ object TdhLocal {
     private val maxCands = views.iterator.map(_.nCands).maxOption.getOrElse(0)
     private val p = new Array[Double](maxCands)
     private val f = new Array[Double](maxCands)
+    /** Σ over the objects stepped since it was zeroed of their log-posterior terms. */
+    private var logPost = 0.0
+
+    /** One map evaluation `e` over this kernel's objects: reads μ slots from
+      * `cur` and writes them into `next` (the same store in a local run; in a
+      * Spark partition a copy with fresh arrays in the slots `e` writes), N of
+      * the output into `num(o)`.
+      */
+    def eval(e: MapEval, cur: Array[Array[Array[Double]]], next: Array[Array[Array[Double]]],
+        num: Array[Array[Double]], phi: Array[Array[Double]], psi: Array[Array[Double]],
+        phiAcc: Array[Array[Double]], psiAcc: Array[Array[Double]]): EvalStats = {
+      logPost = 0.0
+      var delta = 0.0
+      var r2 = 0.0
+      var v2 = 0.0
+      var o = 0
+      while (o < views.length) {
+        if (e.phase == 2) EmDriver.extrapolate(cur(e.s0)(o), cur(e.in)(o), cur(e.s2)(o), e.alpha, next(e.in)(o))
+        delta = math.max(delta, step(o, next(e.in)(o), next(e.out)(o), num(o), phi, psi, phiAcc, psiAcc))
+        if (e.phase == 1) {
+          r2 += EmDriver.sqStep(cur(e.s0)(o), cur(e.in)(o), next(e.out)(o))
+          v2 += EmDriver.sqCurvature(cur(e.s0)(o), cur(e.in)(o), next(e.out)(o))
+        }
+        o += 1
+      }
+      EvalStats(delta, logPost, r2, v2)
+    }
 
     /** D_o, the Eq. (9) denominator: o's records and answers plus |V_o|(γ − 1). */
     def den(o: Int): Double = views(o).nRecords + (ansOff(o + 1) - ansOff(o)) + views(o).nCands * gm1
@@ -175,26 +198,38 @@ object TdhLocal {
     /** Object o's E-step (f and g of Figure 4) under `muIn`, φ and ψ, adding
       * the type posteriors of its claims into `phiAcc`/`psiAcc` by dense actor
       * id; then Eq. (9): N_{o,v} into `num`, μ_o into `muOut` (which may be
-      * `muIn`). Returns max_v |Δμ_o(v)|.
+      * `muIn`). Adds o's log-posterior terms under `muIn` into `logPost`: Σ log z
+      * over its claims (z = P(claim), the Eq. (6) marginal) and
+      * (γ − 1) Σ_v log μ_o(v). Returns max_v |Δμ_o(v)|.
       */
     def step(o: Int, muIn: Array[Double], muOut: Array[Double], num: Array[Double],
         phi: Array[Array[Double]], psi: Array[Array[Double]],
         phiAcc: Array[Array[Double]], psiAcc: Array[Array[Double]]): Double = {
       val view = views(o)
       java.util.Arrays.fill(f, 0, view.nCands, 0.0)
+      // Π z over the claims and Π_v μ_o(v) are taken as products, with a log
+      // only where a product could underflow
+      var zProd = 1.0
       // E-step over source claims (f_{o,s}^v and g_{o,s}^t of Figure 4)
       var r = 0
       while (r < view.nRecords) {
         val s = recSrc(recOff(o) + r)
-        accumulate(view, muIn, view.srcVals(r), phiAcc(s), phi(s), worker = false)
+        zProd = times(zProd, accumulate(view, muIn, view.srcVals(r), phiAcc(s), phi(s), worker = false), 1.0)
         r += 1
       }
       // E-step over worker answers (f_{o,w}^v and g_{o,w}^t)
       var a = ansOff(o)
       while (a < ansOff(o + 1)) {
         val w = ansWkr(a)
-        accumulate(view, muIn, ansVal(a), psiAcc(w), psi(w), worker = true)
+        zProd = times(zProd, accumulate(view, muIn, ansVal(a), psiAcc(w), psi(w), worker = true), 1.0)
         a += 1
+      }
+      logPost += math.log(zProd)
+      if (gm1 != 0.0) {
+        var muProd = 1.0
+        var v = 0
+        while (v < view.nCands) { muProd = times(muProd, muIn(v), gm1); v += 1 }
+        logPost += gm1 * math.log(muProd)
       }
       // M-step: Eq. (9) for μ_o
       val d = den(o)
@@ -213,7 +248,8 @@ object TdhLocal {
 
     /** E-step contribution of one claim `u`:
       * adds f^v (the truth posterior given this claim) into `f` and the
-      * relationship-type posterior g^t into `gAcc`. The claim likelihood is
+      * relationship-type posterior g^t into `gAcc`; returns the claim's
+      * probability z (1 for an impossible claim, which gets no responsibility). The claim likelihood is
       * [[TdhProb.pWkr]] for a worker answer, [[TdhProb.pSrc]] otherwise.
       *
       * For o ∉ O_H and u = v the type (exact vs generalized) is unobservable —
@@ -227,7 +263,7 @@ object TdhLocal {
         gAcc: Array[Double],
         trust: Array[Double],
         worker: Boolean,
-    ): Unit = {
+    ): Double = {
       val n = view.nCands
       var z = 0.0
       var v = 0
@@ -235,7 +271,7 @@ object TdhLocal {
         val pClaim = if (worker) TdhProb.pWkr(view, trust, u, v) else TdhProb.pSrc(view, trust, u, v)
         p(v) = pClaim * muO(v); z += p(v); v += 1
       }
-      if (z <= 0) return // claim impossible under current params; no responsibility
+      if (z <= 0) return 1.0 // claim impossible under current params; no responsibility
       v = 0
       while (v < n) {
         val fv = p(v) / z
@@ -248,6 +284,15 @@ object TdhLocal {
         } else gAcc(2) += fv
         v += 1
       }
+      z
+    }
+
+    /** prod · x, for x > 0. Where the product gets small, `weight` times its
+      * log goes into `logPost` and the product restarts at 1.
+      */
+    private def times(prod: Double, x: Double, weight: Double): Double = {
+      val p = prod * x
+      if (p > 1e-200) p else { logPost += weight * math.log(p); 1.0 }
     }
   }
 }

@@ -7,6 +7,10 @@ import repro.data.ObjectView
   * Defaults follow the paper: α = (3, 3, 2) because "correct values are more
   * frequent than wrong values for most of the sources"; every dimension of β
   * and γ is 2.
+  *
+  * `maxIters` and `tol` are the one stopping rule of [[EmDriver]], on every
+  * path: stop when one map evaluation moves μ by at most `tol` (max |Δμ|), or
+  * after `maxIters` map evaluations.
   */
 final case class TdhHyper(
     alpha: (Double, Double, Double) = (3.0, 3.0, 2.0),
@@ -113,15 +117,20 @@ object TdhProb {
 /** Output of a TDH inference run.
   *
   * @param mu     per-object confidence distribution over that object's candidates
-  * @param muNum  N_{o,v}: the numerator of Eq. (9) at the last iteration (used by EAI)
-  * @param muDen  D_o: the denominator of Eq. (9) at the last iteration
+  * @param muNum  N_{o,v}: the numerator of Eq. (9) in the map evaluation that
+  *               produced `mu` (used by EAI)
+  * @param muDen  D_o: the denominator of Eq. (9)
   * @param phi    per-source trustworthiness distribution
   * @param psi    per-worker trustworthiness distribution
   * @param truthIdx chosen candidate index per object
-  * @param iterations EM iterations run
-  * @param finalDelta max |Δμ| of the last iteration (Double.MaxValue if none ran)
+  * @param iterations EM map evaluations run, rejected SQUAREM steps included
+  * @param finalDelta max |Δμ| of the evaluation that produced `mu`
+  *                   (Double.MaxValue if none ran)
   * @param converged  whether `finalDelta` reached the tolerance before the
-  *                   iteration cap
+  *                   evaluation cap
+  * @param objective  MAP log-posterior (the log-likelihood of all claims plus
+  *                   the Dirichlet priors of μ, φ and ψ, up to a constant) of
+  *                   the iterate that was mapped to `mu` (NaN if none ran)
   */
 final case class TdhResult(
     mu: Array[Array[Double]],
@@ -133,6 +142,7 @@ final case class TdhResult(
     iterations: Int = 0,
     finalDelta: Double = Double.NaN,
     converged: Boolean = false,
+    objective: Double = Double.NaN,
 ) {
   def truthValues(views: Array[ObjectView]): Array[Int] =
     Array.tabulate(truthIdx.length)(o => views(o).cands(truthIdx(o)))

@@ -1,22 +1,24 @@
 package repro.core
 
-import org.apache.spark.HashPartitioner
+import org.apache.spark.{HashPartitioner, SparkContext}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.data.{AnswerLog, ObjectView, TdDataset}
 import repro.hier.Hierarchy
 
 /** TDH inference (§3) as object-partitioned EM on Spark — the distributed
-  * form of [[TdhLocal]], running the same per-object [[TdhLocal.Kernel]].
+  * form of [[TdhLocal]]: the same [[EmDriver]] over the same per-object
+  * [[TdhLocal.Kernel]].
   *
   * μ_o depends only on object o's claims, and φ/ψ are three sums per actor.
   * So records and answers are co-grouped by object into the session's default
   * parallelism, each partition compiles its objects' [[ObjectView]]s once from
-  * a broadcast [[Hierarchy]], and an EM iteration is one job: every partition
-  * maps its μ under broadcast φ/ψ to a new μ plus its per-actor type sums and
-  * max |Δμ|. `run` folds the partial sums in partition order (so repeated
-  * runs agree bit for bit), applies the shared Eq. (10)/(11) M-step and
-  * broadcasts the result. μ never leaves its partition.
+  * a broadcast [[Hierarchy]], and each map evaluation of the driver is one
+  * job: every partition maps its μ slots under broadcast φ/ψ to new ones and
+  * returns its per-actor type sums, max |Δμ|, log-posterior terms and
+  * (SQUAREM) norm parts. The backend folds the partials in partition order
+  * (so repeated runs agree bit for bit); the driver applies the shared
+  * Eq. (10)/(11) M-step. μ never leaves its partition.
   *
   * Results match [[TdhLocal]] to float tolerance (see TdhSparkSpec).
   */
@@ -27,15 +29,18 @@ object TdhSpark {
       phi: DataFrame, // (source, p1, p2, p3)
       psi: DataFrame, // (worker, q1, q2, q3)
       truth: DataFrame, // (obj, truth)
-      iterations: Int,
-      finalDelta: Double = Double.NaN, // max |Δμ| of the last iteration (Double.MaxValue if none ran)
-      converged: Boolean = false, // finalDelta reached the tolerance before the iteration cap
+      iterations: Int, // map evaluations, as TdhResult.iterations
+      finalDelta: Double = Double.NaN, // max |Δμ| of the evaluation that produced mu (Double.MaxValue if none ran)
+      converged: Boolean = false, // finalDelta reached the tolerance before the evaluation cap
+      objective: Double = Double.NaN, // as TdhResult.objective
   )
 
   /** The objects of one partition with their claims compiled by partition-local
-    * actor ids, and one EM iterate over them: μ, the per-actor type sums of the
-    * E-step that produced it, and its max |Δμ|. Immutable: each iteration makes
-    * a new Part, so a recomputed partition never starts from a later μ.
+    * actor ids, and the μ slots of [[EmDriver]] over them, with the outputs of
+    * the map evaluation that made this Part: the per-actor type sums of its
+    * E-step and its stats. Immutable: each evaluation makes a new Part with
+    * fresh arrays in the slots it writes, so a recomputed partition never
+    * starts from a later μ.
     *
     * @param rejected the first answer of the partition that does not fit its
     *                 object, as an error message
@@ -43,29 +48,29 @@ object TdhSpark {
   private final class Part(
       val views: Array[ObjectView],
       val layout: TdhLocal.Layout,
-      val mu: Array[Array[Double]],
+      val mu: Array[Array[Array[Double]]],
       val phiAcc: Array[Array[Double]],
       val psiAcc: Array[Array[Double]],
-      val delta: Double,
+      val stats: EvalStats,
       val rejected: Option[String],
   ) extends Serializable {
 
-    /** One EM iteration under φ/ψ indexed by global actor id; srcIdx/wkrIdx map
-      * this partition's actor ids to global ones.
+    /** Map evaluation `e` under φ/ψ indexed by global actor id; srcIdx/wkrIdx
+      * map this partition's actor ids to global ones.
       */
-    def next(phi: Array[Array[Double]], psi: Array[Array[Double]],
+    def next(e: MapEval, phi: Array[Array[Double]], psi: Array[Array[Double]],
         srcIdx: Array[Int], wkrIdx: Array[Int], hyper: TdhHyper): Part = {
       val kernel = new TdhLocal.Kernel(views, layout, hyper)
-      val localPhi = srcIdx.map(phi)
-      val localPsi = wkrIdx.map(psi)
+      def fresh = views.map(v => new Array[Double](v.nCands))
+      val nextMu = mu.clone()
+      nextMu(e.out) = fresh
+      if (e.phase == 2) nextMu(e.in) = fresh
       val nextPhiAcc = Array.fill(srcIdx.length)(new Array[Double](3))
       val nextPsiAcc = Array.fill(wkrIdx.length)(new Array[Double](3))
-      val nextMu = views.map(v => new Array[Double](v.nCands))
-      val num = new Array[Double](views.iterator.map(_.nCands).maxOption.getOrElse(0))
-      var d = 0.0
-      for (o <- views.indices)
-        d = math.max(d, kernel.step(o, mu(o), nextMu(o), num, localPhi, localPsi, nextPhiAcc, nextPsiAcc))
-      new Part(views, layout, nextMu, nextPhiAcc, nextPsiAcc, d, rejected)
+      val scratch = new Array[Double](views.iterator.map(_.nCands).maxOption.getOrElse(0))
+      val num = Array.fill(views.length)(scratch)
+      val st = kernel.eval(e, mu, nextMu, num, srcIdx.map(phi), wkrIdx.map(psi), nextPhiAcc, nextPsiAcc)
+      new Part(views, layout, nextMu, nextPhiAcc, nextPsiAcc, st, rejected)
     }
   }
 
@@ -95,25 +100,69 @@ object TdhSpark {
       }
       val layout = TdhLocal.compile(views, log)
       val kernel = new TdhLocal.Kernel(views, layout, hyper)
-      new Part(views, layout, Array.tabulate(views.length)(kernel.initMu), Array.empty, Array.empty,
-        Double.MaxValue, rejected)
+      val mu = new Array[Array[Array[Double]]](EmDriver.Slots)
+      mu(0) = Array.tabulate(views.length)(kernel.initMu)
+      new Part(views, layout, mu, Array.empty, Array.empty, null, rejected)
     }
   }
 
+  /** μ of a Spark run: the partitions' slots. Each evaluation is one job
+    * over the current state, whose result becomes the new state.
+    */
+  private final class SparkMu(
+      sc: SparkContext,
+      var state: RDD[Part],
+      srcIdx: Array[Array[Int]],
+      wkrIdx: Array[Array[Int]],
+      hyper: TdhHyper,
+  ) extends MuBackend {
+    private val bcIdx = sc.broadcast((srcIdx, wkrIdx))
+
+    def eval(e: MapEval, phi: Array[Array[Double]], psi: Array[Array[Double]],
+        phiAcc: Array[Array[Double]], psiAcc: Array[Array[Double]]): EvalStats = {
+      // copies: the driver later overwrites these slots in place, and a
+      // local-mode broadcast hands tasks the very object that was broadcast
+      val bcTrust = sc.broadcast((phi.map(_.clone), psi.map(_.clone)))
+      val (idx, hyp) = (bcIdx, hyper)
+      val next = state.mapPartitionsWithIndex { (k, parts) =>
+        val (ph, ps) = bcTrust.value
+        val (si, wi) = idx.value
+        parts.map(_.next(e, ph, ps, si(k), wi(k), hyp))
+      }
+      next.localCheckpoint()
+      val partials = next.map(p => (p.phiAcc, p.psiAcc, p.stats)).collect()
+      // Spark warns that a locally checkpointed RDD cannot be recomputed once
+      // unpersisted; nothing reads the previous state again.
+      state.unpersist(blocking = false)
+      state = next
+      var st = EvalStats(0.0, 0.0, 0.0, 0.0)
+      for (k <- partials.indices) {
+        val (pa, qa, ps) = partials(k)
+        for (i <- pa.indices; t <- 0 until 3) phiAcc(srcIdx(k)(i))(t) += pa(i)(t)
+        for (i <- qa.indices; t <- 0 until 3) psiAcc(wkrIdx(k)(i))(t) += qa(i)(t)
+        st = st + ps
+      }
+      st
+    }
+  }
+
+  /** @param maxIters a cap on map evaluations that can only lower
+    *                 `hyper.maxIters`; by default it leaves it as it is
+    */
   def run(
       spark: SparkSession,
       records: DataFrame, // (obj, source, value)
       answers: DataFrame, // (obj, worker, value)
       h: Hierarchy,
       hyper: TdhHyper = TdhHyper(),
-      maxIters: Int = 30,
+      maxIters: Int = Int.MaxValue,
   ): SparkRun = {
     import spark.implicits._
     val sc = spark.sparkContext
     def byObj(df: DataFrame, actor: String): RDD[(Int, (Int, Int))] =
       df.select("obj", actor, "value").rdd.map(r => (r.getInt(0), (r.getInt(1), r.getInt(2))))
     val bcH = sc.broadcast(h)
-    var state: RDD[Part] = byObj(records, "source")
+    val state: RDD[Part] = byObj(records, "source")
       .cogroup(byObj(answers, "worker"), new HashPartitioner(sc.defaultParallelism))
       .mapPartitions(it => Iterator(Part.build(it, bcH.value, hyper)))
     state.localCheckpoint()
@@ -133,52 +182,22 @@ object TdhSpark {
       for (k <- idx.indices; i <- idx(k).indices) c(idx(k)(i)) += counts(k)(i)
       c
     }
-    val claimsPerSource = claims(srcIds.length, srcIdx, ingested.map(_._2))
-    val claimsPerWorker = claims(wkrIds.length, wkrIdx, ingested.map(_._4))
-    val bcIdx = sc.broadcast((srcIdx, wkrIdx))
 
-    val phi = TdhLocal.priorMean(hyper.alphaArr, srcIds.length)
-    val psi = TdhLocal.priorMean(hyper.betaArr, wkrIds.length)
-    var iter = 0
-    var delta = Double.MaxValue
-    while (iter < maxIters && delta > hyper.tol) {
-      // copies: mStep updates phi/psi in place, and a local-mode broadcast
-      // hands tasks the very object that was broadcast
-      val bcTrust = sc.broadcast((phi.map(_.clone), psi.map(_.clone)))
-      val next = state.mapPartitionsWithIndex { (k, parts) =>
-        val (ph, ps) = bcTrust.value
-        val (si, wi) = bcIdx.value
-        parts.map(_.next(ph, ps, si(k), wi(k), hyper))
-      }
-      next.localCheckpoint()
-      val partials = next.map(p => (p.phiAcc, p.psiAcc, p.delta)).collect()
-      // Spark warns that a locally checkpointed RDD cannot be recomputed once
-      // unpersisted; nothing reads the previous iterate again.
-      state.unpersist(blocking = false)
-      state = next
+    val mu = new SparkMu(sc, state, srcIdx, wkrIdx, hyper)
+    val out = EmDriver.run(mu, hyper,
+      claims(srcIds.length, srcIdx, ingested.map(_._2)), claims(wkrIds.length, wkrIdx, ingested.map(_._4)),
+      EmDriver.startTrust(srcIds, hyper.alphaArr, None), EmDriver.startTrust(wkrIds, hyper.betaArr, None),
+      math.min(hyper.maxIters, maxIters), accelerate = true)
 
-      val phiAcc = Array.fill(srcIds.length)(new Array[Double](3))
-      val psiAcc = Array.fill(wkrIds.length)(new Array[Double](3))
-      delta = 0.0
-      for (k <- partials.indices) {
-        val (pa, qa, d) = partials(k)
-        for (i <- pa.indices; t <- 0 until 3) phiAcc(srcIdx(k)(i))(t) += pa(i)(t)
-        for (i <- qa.indices; t <- 0 until 3) psiAcc(wkrIdx(k)(i))(t) += qa(i)(t)
-        delta = math.max(delta, d)
-      }
-      TdhLocal.mStep(phi, phiAcc, claimsPerSource, hyper.alphaArr, hyper.alphaDen)
-      TdhLocal.mStep(psi, psiAcc, claimsPerWorker, hyper.betaArr, hyper.betaDen)
-      iter += 1
-    }
-
-    val mu = state.flatMap(p => for (o <- p.views.indices; j <- 0 until p.views(o).nCands)
-      yield (p.views(o).obj, p.views(o).cands(j), p.mu(o)(j))).toDF("obj", "v", "mu")
-    val truth = state.flatMap(p => p.views.indices.map(o =>
-      (p.views(o).obj, p.views(o).cands(TdhProb.argmaxTruth(p.views(o), p.mu(o)))))).toDF("obj", "truth")
+    val slot = out.slot
+    val muDf = mu.state.flatMap(p => for (o <- p.views.indices; j <- 0 until p.views(o).nCands)
+      yield (p.views(o).obj, p.views(o).cands(j), p.mu(slot)(o)(j))).toDF("obj", "v", "mu")
+    val truth = mu.state.flatMap(p => p.views.indices.map(o =>
+      (p.views(o).obj, p.views(o).cands(TdhProb.argmaxTruth(p.views(o), p.mu(slot)(o)))))).toDF("obj", "truth")
     def trustDf(ids: Array[Int], t: Array[Array[Double]], cols: String*) =
       ids.indices.map(i => (ids(i), t(i)(0), t(i)(1), t(i)(2))).toDF(cols: _*)
-    SparkRun(mu, trustDf(srcIds, phi, "source", "p1", "p2", "p3"), trustDf(wkrIds, psi, "worker", "q1", "q2", "q3"),
-      truth, iter, delta, delta <= hyper.tol)
+    SparkRun(muDf, trustDf(srcIds, out.phi, "source", "p1", "p2", "p3"),
+      trustDf(wkrIds, out.psi, "worker", "q1", "q2", "q3"), truth, out.evals, out.delta, out.converged, out.objective)
   }
 
   /** Convenience: run the dataflow on a [[TdDataset]] + answer log and return
@@ -190,7 +209,7 @@ object TdhSpark {
       ds: TdDataset,
       answers: AnswerLog,
       hyper: TdhHyper = TdhHyper(),
-      maxIters: Int = 30,
+      maxIters: Int = Int.MaxValue,
   ): (SparkRun, Array[Int]) = {
     import spark.implicits._
     val recordsDf = ds.records.toDF()

@@ -34,7 +34,12 @@ object SimWorkers {
   }
 }
 
-/** One round's quality snapshot (round 0 = before any crowdsourcing). */
+/** One round's quality snapshot (round 0 = before any crowdsourcing).
+  *
+  * @param inferIterations EM map evaluations of the round's TDH inference
+  *                        (0 for other algorithms)
+  * @param converged       whether that EM reached its tolerance
+  */
 final case class RoundTrace(
     round: Int,
     accuracy: Double,
@@ -42,10 +47,13 @@ final case class RoundTrace(
     avgDistance: Double,
     inferMillis: Long,
     assignMillis: Long,
+    inferIterations: Int = 0,
+    converged: Boolean = false,
 )
 
 /** The crowdsourced truth-discovery driver (Fig. 2): alternate truth
-  * inference and task assignment until the round budget runs out.
+  * inference and task assignment until the round budget runs out. Each
+  * round's inference starts from the previous round's state of this run.
   */
 object CrowdLoop {
 
@@ -63,7 +71,7 @@ object CrowdLoop {
 
     for (round <- 0 to rounds) {
       val t0 = System.nanoTime()
-      state = inference.infer(ds.views, answers)
+      state = if (state == null) inference.infer(ds.views, answers) else inference.infer(ds.views, answers, state)
       val tInfer = (System.nanoTime() - t0) / 1000000
 
       var tAssign = 0L
@@ -82,6 +90,8 @@ object CrowdLoop {
         Metrics.avgDistance(ds, est),
         tInfer,
         tAssign,
+        state.tdh.fold(0)(_.iterations),
+        state.tdh.exists(_.converged),
       )
     }
     (traces.result(), state)

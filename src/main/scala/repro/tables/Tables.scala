@@ -49,8 +49,8 @@ object Tables {
     }
 
   /** TDH through the object-partitioned Spark EM (same kernel, distributed path). */
-  def table3TdhSpark(spark: SparkSession, ds: TdDataset, maxIters: Int = 20): QualityRow = {
-    val (_, est) = TdhSpark.runOnDataset(spark, ds, new AnswerLog(ds.numObjects), maxIters = maxIters)
+  def table3TdhSpark(spark: SparkSession, ds: TdDataset): QualityRow = {
+    val (_, est) = TdhSpark.runOnDataset(spark, ds, new AnswerLog(ds.numObjects))
     QualityRow("TDH(spark)", Metrics.accuracy(ds, est), Metrics.genAccuracy(ds, est), Metrics.avgDistance(ds, est))
   }
 

@@ -204,8 +204,9 @@ class TdhLocalSpec extends AnyFunSuite {
 
   // ---- golden outputs ------------------------------------------------------
   // 64-bit digests of the exact output bits of TdhLocal.run on the calibrated
-  // datasets. Any change to the loop order or to a floating-point expression
-  // of the EM shows up here; a refactor of TdhLocal must keep them.
+  // datasets, and of the plain EM map at a fixed 10 evaluations. Any change to
+  // the loop order or to a floating-point expression of the EM shows up here;
+  // a refactor of TdhLocal must keep them.
 
   private lazy val goldenData = Seq("BirthPlaces" -> TruthDataGen.birthPlaces(), "Heritages" -> TruthDataGen.heritages())
 
@@ -234,26 +235,104 @@ class TdhLocalSpec extends AnyFunSuite {
     h
   }
 
-  /** (digest, EM iterations) per dataset and case. */
+  /** (digest, EM map evaluations) per dataset and case. */
   private val golden: Map[(String, String), (Long, Int)] = Map(
-    ("BirthPlaces", "empty log") -> (-6810048431288983388L, 100),
-    ("BirthPlaces", "3-round crowd log") -> (-4845403586485639353L, 100),
-    ("BirthPlaces", "maxIters=10 tol=0") -> (-7917337343673983475L, 10),
-    ("Heritages", "empty log") -> (-8253040490579105933L, 100),
-    ("Heritages", "3-round crowd log") -> (-1548634695489183978L, 100),
-    ("Heritages", "maxIters=10 tol=0") -> (5735584777864672750L, 10),
+    ("BirthPlaces", "empty log") -> (-6652824002454232726L, 46),
+    ("BirthPlaces", "3-round crowd log") -> (-6614726257934384366L, 46),
+    ("BirthPlaces", "plain maxIters=10 tol=0") -> (-7917337343673983475L, 10),
+    ("Heritages", "empty log") -> (3216911688802290254L, 54),
+    ("Heritages", "3-round crowd log") -> (-2279070848270635443L, 48),
+    ("Heritages", "plain maxIters=10 tol=0") -> (5735584777864672750L, 10),
   )
 
+  private def plain(ds: TdDataset, log: AnswerLog, hyper: TdhHyper) =
+    TdhLocal.em(ds.views, log, hyper, None, accelerate = false)
+
   test("TdhLocal output bits match the golden digests") {
-    val got = for ((name, ds) <- goldenData; (label, log, hyper) <- Seq(
-        ("empty log", empty(ds), TdhHyper()),
-        ("3-round crowd log", crowdLog(ds), TdhHyper()),
-        ("maxIters=10 tol=0", empty(ds), TdhHyper(maxIters = 10, tol = 0.0))))
-      yield {
-        val res = TdhLocal.run(ds.views, log, hyper)
-        (name, label) -> (digest(res), res.iterations)
-      }
+    val got = for ((name, ds) <- goldenData; (label, res) <- Seq(
+        "empty log" -> TdhLocal.run(ds.views, empty(ds)),
+        "3-round crowd log" -> TdhLocal.run(ds.views, crowdLogs(name)),
+        "plain maxIters=10 tol=0" -> plain(ds, empty(ds), TdhHyper(maxIters = 10, tol = 0.0))._1))
+      yield (name, label) -> (digest(res), res.iterations)
     assert(got.toMap == golden)
+  }
+
+  private lazy val crowdLogs: Map[String, AnswerLog] = goldenData.map { case (name, ds) => name -> crowdLog(ds) }.toMap
+
+  // ---- objective, acceleration and warm start ------------------------------
+
+  private def logsOf(name: String, ds: TdDataset) = Seq("empty log" -> empty(ds), "3-round crowd log" -> crowdLogs(name))
+
+  test("the plain EM objective never goes down over 150 iterations") {
+    for ((name, ds) <- goldenData; (label, log) <- logsOf(name, ds)) {
+      val objective = plain(ds, log, TdhHyper(maxIters = 150, tol = 0.0))._2.steps.map(_.objective)
+      assert(objective.length == 150)
+      for (i <- 1 until objective.length)
+        assert(objective(i) >= objective(i - 1), s"$name, $label: L drops at iteration $i: ${objective(i - 1)} -> ${objective(i)}")
+    }
+  }
+
+  test("SQUAREM keeps an extrapolation only if it scores at least L(theta1), and never lowers L at cycle starts") {
+    for ((name, ds) <- goldenData; (label, log) <- logsOf(name, ds)) {
+      val steps = TdhLocal.em(ds.views, log, TdhHyper(), None, accelerate = true)._2.steps
+      assert(steps.map(_.phase).take(6) == Seq(0, 1, 2, 0, 1, 2))
+      for (i <- steps.indices if steps(i).phase == 2) {
+        assert(steps(i - 1).phase == 1)
+        assert(steps(i).kept == (steps(i).objective >= steps(i - 1).objective), s"$name, $label: step $i")
+      }
+      // up to the rounding of a sum over ~20k claims (relative 1e-12)
+      val starts = steps.filter(_.phase == 0).map(_.objective)
+      for (i <- 1 until starts.length)
+        assert(starts(i) >= starts(i - 1) - 1e-12 * math.abs(starts(i - 1)), s"$name, $label: cycle $i")
+    }
+  }
+
+  /** Plain EM taken to max |Δμ| ≤ 1e-13: the fixed point the gates compare to. */
+  private def fixedPoint(ds: TdDataset, log: AnswerLog): TdhResult = {
+    val res = plain(ds, log, TdhHyper(maxIters = 100000, tol = 1e-13))._1
+    assert(res.converged)
+    res
+  }
+
+  /** μ, φ and ψ within `tol` of `want`, and identical truths. */
+  private def assertNear(got: TdhResult, want: TdhResult, tol: Double, clue: String): Unit = {
+    for (o <- want.mu.indices; j <- want.mu(o).indices)
+      assert(math.abs(got.mu(o)(j) - want.mu(o)(j)) <= tol, s"$clue: mu($o)($j)")
+    for ((g, w) <- Seq(got.phi -> want.phi, got.psi -> want.psi)) {
+      assert(g.keySet == w.keySet, clue)
+      for ((a, p) <- w; t <- 0 until 3) assert(math.abs(g(a)(t) - p(t)) <= tol, s"$clue: actor $a")
+    }
+    assert(got.truthIdx.toSeq == want.truthIdx.toSeq, clue)
+  }
+
+  test("cold and warm-started runs converge within 1e-4 of the EM fixed point with its truths") {
+    for ((name, ds) <- goldenData) {
+      val logs = logsOf(name, ds)
+      val cold = logs.map { case (_, log) => TdhLocal.run(ds.views, log) }
+      for (((label, log), i) <- logs.zipWithIndex) {
+        val ref = fixedPoint(ds, log)
+        // warm: started from the other log's result
+        val warm = TdhLocal.run(ds.views, log, init = Some(cold(1 - i)))
+        for ((kind, res) <- Seq("cold" -> cold(i), "warm" -> warm)) {
+          assert(res.converged && res.iterations < 100, s"$name, $label, $kind: ${res.iterations} evaluations")
+          assertNear(res, ref, 1e-4, s"$name, $label, $kind")
+        }
+      }
+    }
+  }
+
+  test("a warm start copies mu and trust by id, and new actors start at the prior mean") {
+    val ds = Fixtures.table1World()
+    val prev = TdhLocal.run(ds.views, empty(ds))
+    val log = empty(ds)
+    log.add(0, 42, ds.views(0).candIndex(LibertyIsland))
+    val hyper = TdhHyper(maxIters = 0)
+    val start = TdhLocal.run(ds.views, log, hyper, init = Some(prev))
+    for (o <- 0 until ds.numObjects) assert(start.mu(o).toSeq == prev.mu(o).toSeq)
+    for ((s, p) <- prev.phi) assert(start.phi(s).toSeq == p.toSeq)
+    assert(start.psi(42).toSeq == hyper.betaArr.map(_ / hyper.betaArr.sum).toSeq)
+    val other = Fixtures.flatWorld()
+    intercept[IllegalArgumentException](TdhLocal.run(other.views, empty(other), init = Some(prev)))
   }
 
   private def pearson(xs: Seq[(Double, Double)]): Double = {

@@ -170,6 +170,24 @@ class TdhSparkSpec extends SparkSpec {
     assertMatchesLocal(ds, local, run, est)
   }
 
+  test("TdhSpark with the default stopping rule takes the same SQUAREM path as TdhLocal") {
+    val ds = generated
+    val answers = workerLog(ds)
+    val local = TdhLocal.run(ds.views, answers)
+    val (run, est) = TdhSpark.runOnDataset(spark, ds, answers)
+    assert(run.converged && local.converged)
+    assert(run.iterations == local.iterations && run.iterations > 3)
+    assert(math.abs(run.objective - local.objective) < 1e-9 * math.abs(local.objective))
+    assertMatchesLocal(ds, local, run, est)
+  }
+
+  test("TdhSpark's maxIters only lowers the TdhHyper cap") {
+    val ds = Fixtures.table1World()
+    val empty = new AnswerLog(ds.numObjects)
+    assert(TdhSpark.runOnDataset(spark, ds, empty, fixedIterHyper(4), maxIters = 40)._1.iterations == 4)
+    assert(TdhSpark.runOnDataset(spark, ds, empty, fixedIterHyper(40), maxIters = 4)._1.iterations == 4)
+  }
+
   test("TdhSpark runs are bit-identical") {
     val ds = generated
     val answers = workerLog(ds)

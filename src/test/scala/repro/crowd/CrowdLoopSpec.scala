@@ -55,12 +55,30 @@ class CrowdLoopSpec extends AnyFunSuite {
     val workers = SimWorkers.uniform(10, 0.75, seed = 7)
     val (trace, state) = CrowdLoop.run(ds, new VoteInference(), new MaxEntropyAssigner(), workers, rounds = 3)
     assert(trace.length == 4)
+    assert(trace.forall(t => t.inferIterations == 0 && !t.converged))
     assert(state.truthIdx.length == ds.numObjects)
     trace.foreach { t =>
       assert(t.accuracy >= 0 && t.accuracy <= 1)
       assert(t.genAccuracy >= t.accuracy - 1e-9)
       assert(t.avgDistance >= 0)
     }
+  }
+
+  /** Two 3-round TDH+EAI sessions on BirthPlaces, times zeroed. */
+  private lazy val bpSessions = {
+    val bp = TruthDataGen.birthPlaces()
+    Seq.fill(2)(CrowdLoop.run(bp, new TdhInference(), new EaiAssigner(), SimWorkers.uniform(10, 0.75, seed = 123),
+      rounds = 3)._1.map(_.copy(inferMillis = 0, assignMillis = 0)))
+  }
+
+  test("two CrowdLoop.run calls give identical traces") {
+    assert(bpSessions(0) == bpSessions(1))
+  }
+
+  test("warm-started TDH rounds converge in fewer EM evaluations than round 0 (BirthPlaces)") {
+    val trace = bpSessions(0)
+    assert(trace.forall(_.converged), trace)
+    for (t <- trace.tail) assert(t.inferIterations < trace.head.inferIterations, trace)
   }
 
   test("answer volume grows by at most workers*k per round") {
