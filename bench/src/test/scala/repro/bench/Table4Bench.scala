@@ -9,7 +9,8 @@ import repro.tables.{PaperNumbers, Tables}
   *
   * REPRO_ROUNDS overrides the round count for quick runs.
   * Also prints the round trace of TDH+EAI (the data behind Fig. 8) and the
-  * per-round execution times (the data behind Fig. 12).
+  * per-round execution times (the data behind Fig. 12) with the EM map
+  * evaluations per round and how many rounds converged.
   */
 class Table4Bench extends AnyFunSuite {
 
@@ -39,7 +40,10 @@ class Table4Bench extends AnyFunSuite {
         marks.map(t => s"r${t.round}=${Tables.fmt(t.accuracy)}").mkString(" "))
       val avgInfer = eai.trace.map(_.inferMillis).sum / eai.trace.size
       val avgAssign = eai.trace.map(_.assignMillis).sum / eai.trace.size
-      println(s"-- $name TDH+EAI avg per-round: inference=${avgInfer}ms assignment=${avgAssign}ms")
+      val evals = eai.trace.map(_.inferIterations)
+      println(s"-- $name TDH+EAI avg per-round: inference=${avgInfer}ms assignment=${avgAssign}ms " +
+        s"EM evaluations=${evals.sum / evals.size} (round 0: ${evals.head}, max ${evals.max}) " +
+        s"converged=${eai.trace.count(_.converged)}/${eai.trace.size}")
       assert(avgInfer + avgAssign < 5000, "per-round time should stay in the paper's 'acceptable' range")
     }
   }

@@ -7,15 +7,16 @@ import scala.collection.mutable
 /** Reference implementation of the TDH EM algorithm (§3.2, Figure 4).
   *
   * This is the exact math of the paper on the compiled [[ObjectView]]
-  * substrate. The crowdsourcing round loops (Table 4) call this version
-  * because they re-run inference hundreds of times; [[TdhSpark]] runs the
-  * same per-object [[TdhLocal.Kernel]] on object partitions and is tested for
-  * equivalence against this implementation.
+  * substrate, run by [[EmDriver]] with μ held in arrays. The crowdsourcing
+  * round loops (Table 4) call this version because they re-run inference
+  * hundreds of times; [[TdhSpark]] runs the same driver and per-object
+  * [[TdhLocal.Kernel]] on object partitions and is tested for equivalence
+  * against this implementation.
   *
   * Each run first compiles its inputs into dense arrays: sources and workers
   * get dense ids in order of first appearance, every record and answer is
-  * stored by that id, and φ, ψ and their accumulators are allocated once. An
-  * EM iteration then allocates nothing.
+  * stored by that id, and μ, φ, ψ and their accumulators are allocated once.
+  * An EM map evaluation then allocates nothing per object or per claim.
   */
 object TdhLocal {
 
