@@ -45,8 +45,8 @@ private[core] trait MuBackend {
   * α = min(−1, −‖r‖/‖v‖), projects θ′ back (rows clipped at [[Floor]] and
   * renormalised) and maps it. If the log-posterior of θ′ is below that of θ1,
   * the result of mapping θ′ is discarded and the next cycle starts from θ2,
-  * so the objective at cycle starts never goes down. The returned iterate is
-  * always the output of a map evaluation.
+  * so the objective at cycle starts never goes down (up to rounding). The
+  * returned iterate is always the output of a map evaluation.
   */
 private[core] object EmDriver {
 
@@ -56,9 +56,9 @@ private[core] object EmDriver {
   val Floor = 1e-9
 
   /** One map evaluation as the driver saw it: its phase, the log-posterior of
-    * its input, its max |Δμ| and whether its output was kept.
+    * its input and whether its output was kept.
     */
-  final case class Step(phase: Int, objective: Double, delta: Double, kept: Boolean)
+  final case class Step(phase: Int, objective: Double, kept: Boolean)
 
   /** @param slot       μ slot of the returned iterate
     * @param objective  log-posterior of the input of the evaluation that
@@ -113,7 +113,7 @@ private[core] object EmDriver {
     var objective = Double.NaN
     def keep(phase: Int, slot: Int, ev: (EvalStats, Double)): Unit = {
       res = slot; delta = ev._1.delta; objective = ev._2
-      steps += Step(phase, objective, delta, kept = true)
+      steps += Step(phase, objective, kept = true)
     }
     def going = evals < maxEvals && delta > hyper.tol
 
@@ -138,7 +138,7 @@ private[core] object EmDriver {
             for (t <- trust; i <- t(cur).indices) extrapolate(t(cur)(i), t(s1)(i), t(s2)(i), alpha, t(s1)(i))
             val third = eval(MapEval(s1, s3, phase = 2, s0 = cur, s2 = s2, alpha = alpha))
             if (third._2 >= second._2) { keep(2, s3, third); cur = s3 }
-            else { steps += Step(2, third._2, third._1.delta, kept = false); cur = s2 }
+            else { steps += Step(2, third._2, kept = false); cur = s2 }
           }
         }
       }
