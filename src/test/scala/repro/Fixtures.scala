@@ -1,6 +1,9 @@
 package repro
 
-import repro.data.{Record, TdDataset}
+import repro.assign.EaiAssigner
+import repro.baselines.TdhInference
+import repro.crowd.SimWorkers
+import repro.data.{AnswerLog, Record, TdDataset}
 import repro.hier.Hierarchy
 
 /** Small hand-crafted fixtures shared across suites. */
@@ -56,5 +59,18 @@ object Fixtures {
       Record(2, 0, LA), Record(2, 1, LA), Record(2, 2, LA),
     )
     TdDataset(geo, 3, 3, recs, Array(LibertyIsland, London, LA))
+  }
+
+  /** The answer log after 3 TDH+EAI crowd rounds (k = 5, 10 workers). */
+  def crowdLog(ds: TdDataset): AnswerLog = {
+    val log = new AnswerLog(ds.numObjects)
+    val workers = SimWorkers.uniform(10, 0.75, 123)
+    for (_ <- 1 to 3) {
+      val state = new TdhInference().infer(ds.views, log)
+      new EaiAssigner().assign(state, log, workers.ids, 5).foreach { case (w, o) =>
+        log.add(o, w, workers.answer(ds, w, o))
+      }
+    }
+    log
   }
 }

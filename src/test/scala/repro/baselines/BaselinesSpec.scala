@@ -211,4 +211,62 @@ class BaselinesSpec extends AnyFunSuite {
       yield name -> lfcDigest(new LfcInference().infer(ds.views, empty(ds)))
     assert(got.toMap == Map("BirthPlaces" -> -6621199513121627394L, "Heritages" -> -8621982383887422796L))
   }
+
+  // 64-bit digests of the exact output bits of every baseline on the
+  // calibrated datasets, with an empty log and with the 3-round TDH+EAI log:
+  // μ, truths and workerAcc by worker id for single-truth algorithms, the
+  // posteriors of LFC-MT and LTM, DART's sets.
+  private final class Digest {
+    var h = 0xcbf29ce484222325L
+    def mix(x: Long): Unit = { h = (h ^ x) * 0x100000001b3L; h ^= h >>> 29 }
+    def mix(x: Double): Unit = mix(java.lang.Double.doubleToLongBits(x))
+  }
+
+  private def digestOf(f: Digest => Unit): Long = { val d = new Digest; f(d); d.h }
+
+  private def stateDigest(st: InferState): Long = digestOf { d =>
+    st.mu.foreach(_.foreach(d.mix))
+    st.truthIdx.foreach(i => d.mix(i.toLong))
+    for ((w, acc) <- st.workerAcc.toSeq.sortBy(_._1)) { d.mix(w.toLong); d.mix(acc) }
+  }
+
+  private def baselineDigests(ds: TdDataset, log: AnswerLog): Seq[(String, Long)] =
+    allInference(ds).filter(_.name != "TDH").map(alg => alg.name -> stateDigest(alg.infer(ds.views, log))) ++
+      Seq(LfcMt, Ltm).map(alg => alg.name -> digestOf(d => alg.posteriors(ds.views, log).foreach(_.foreach(d.mix)))) :+
+      "DART" -> digestOf { d =>
+        new DartInference(Domains.topLevelDomain(ds.hierarchy)).inferSets(ds.views, log).foreach { s =>
+          d.mix(s.size.toLong); s.toSeq.sorted.foreach(v => d.mix(v.toLong))
+        }
+      }
+
+  /** Digests per algorithm: BirthPlaces empty log, BirthPlaces 3-round log,
+    * Heritages empty log, Heritages 3-round log.
+    */
+  private val baselineGolden: Map[(String, String, String), Long] = Map(
+    "ACCU" -> Seq(-8805072157363092448L, -6309151145392194918L, 8554365735632247751L, -5850103913595910210L),
+    "ASUMS" -> Seq(4041272992219579317L, 6166558197922950532L, -5659290290702570455L, 4041395793735114211L),
+    "CRH" -> Seq(4170948655225647595L, 2270355356558021121L, -138510692024565322L, -855833329153628062L),
+    "DART" -> Seq(-1030874324726443178L, -1030874324726443178L, 2924505010480779157L, 2924505010480779157L),
+    "DOCS" -> Seq(-7242716547464182125L, -6531787784261248779L, 6924522226372606235L, -574412013533604469L),
+    "LCA" -> Seq(1961702857383301044L, 2583604921905513750L, -3662820692387463421L, 8204838175351087508L),
+    "LFC" -> Seq(-6621199513121627394L, -6985163970330219033L, -8621982383887422796L, 1352490043337781717L),
+    "LFC-MT" -> Seq(1242410054479286243L, 1242410054479286243L, -3420787302594418003L, -3420787302594418003L),
+    "LTM" -> Seq(264338229073573118L, 1776435489826690873L, -8336161509343338992L, 7750684103481983436L),
+    "MDC" -> Seq(4239144824107614232L, -8453043579817002158L, 4109521323898792621L, 5290207084816174248L),
+    "POPACCU" -> Seq(-6043421325979462439L, 4071347669302391694L, -776847415925628189L, 3098382804097223127L),
+    "VOTE" -> Seq(-1545242746399923496L, 7553412937443910831L, 2506301263766403640L, -2012710984540291075L),
+  ).flatMap { case (alg, hs) =>
+    val cases = for (ds <- Seq("BirthPlaces", "Heritages"); log <- Seq("empty log", "3-round crowd log")) yield (alg, ds, log)
+    cases.zip(hs)
+  }
+
+  test("every baseline's output bits match the golden digests") {
+    val got = (for {
+      (name, ds) <- Seq("BirthPlaces" -> TruthDataGen.birthPlaces(), "Heritages" -> TruthDataGen.heritages())
+      (label, log) <- Seq("empty log" -> empty(ds), "3-round crowd log" -> Fixtures.crowdLog(ds))
+      (alg, h) <- baselineDigests(ds, log)
+    } yield (alg, name, label) -> h).toMap
+    val wrong = got.filter { case (k, h) => !baselineGolden.get(k).contains(h) }
+    assert(got.keySet == baselineGolden.keySet && wrong.isEmpty, wrong.toSeq.sorted.mkString("\n"))
+  }
 }

@@ -3,9 +3,6 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
 import repro.Fixtures._
-import repro.assign.EaiAssigner
-import repro.baselines.TdhInference
-import repro.crowd.SimWorkers
 import repro.data.{AnswerLog, TdDataset, TruthDataGen}
 import repro.eval.Metrics
 
@@ -210,19 +207,6 @@ class TdhLocalSpec extends AnyFunSuite {
 
   private lazy val goldenData = Seq("BirthPlaces" -> TruthDataGen.birthPlaces(), "Heritages" -> TruthDataGen.heritages())
 
-  /** The answer log after 3 TDH+EAI crowd rounds (k = 5, 10 workers). */
-  private def crowdLog(ds: TdDataset): AnswerLog = {
-    val log = empty(ds)
-    val workers = SimWorkers.uniform(10, 0.75, 123)
-    for (_ <- 1 to 3) {
-      val state = new TdhInference().infer(ds.views, log)
-      new EaiAssigner().assign(state, log, workers.ids, 5).foreach { case (w, o) =>
-        log.add(o, w, workers.answer(ds, w, o))
-      }
-    }
-    log
-  }
-
   private def digest(res: TdhResult): Long = {
     var h = 0xcbf29ce484222325L
     def mix(x: Long): Unit = { h = (h ^ x) * 0x100000001b3L; h ^= h >>> 29 }
@@ -257,7 +241,7 @@ class TdhLocalSpec extends AnyFunSuite {
     assert(got.toMap == golden)
   }
 
-  private lazy val crowdLogs: Map[String, AnswerLog] = goldenData.map { case (name, ds) => name -> crowdLog(ds) }.toMap
+  private lazy val crowdLogs: Map[String, AnswerLog] = goldenData.map { case (name, ds) => name -> Fixtures.crowdLog(ds) }.toMap
 
   // ---- objective, acceleration and warm start ------------------------------
 
