@@ -43,7 +43,7 @@ final class CrhInference(iterations: Int = 15) extends TruthInference {
       // weights from normalized 0-1 loss
       val loss = mutable.HashMap.empty[Actor, Double].withDefaultValue(0.0)
       for (o <- 0 until nObj; (a, u) <- claims(o)) if (u != truth(o)) loss(a) += 1.0
-      val totalLoss = math.max(1e-9, weights.keys.map(a => loss(a)).sum)
+      val totalLoss = math.max(1e-9, weights.keysIterator.map(loss).sum)
       weights.keys.foreach { a =>
         val norm = (loss(a) + 0.5) / (totalLoss + 0.5 * weights.size)
         weights(a) = -math.log(norm)

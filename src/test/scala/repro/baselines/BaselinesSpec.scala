@@ -245,7 +245,7 @@ class BaselinesSpec extends AnyFunSuite {
   private val baselineGolden: Map[(String, String, String), Long] = Map(
     "ACCU" -> Seq(-8805072157363092448L, -6309151145392194918L, 8554365735632247751L, -5850103913595910210L),
     "ASUMS" -> Seq(4041272992219579317L, 6166558197922950532L, -5659290290702570455L, 4041395793735114211L),
-    "CRH" -> Seq(4170948655225647595L, 2270355356558021121L, -138510692024565322L, -855833329153628062L),
+    "CRH" -> Seq(4170948655225647595L, 2270355356558021121L, -9097273473970486172L, -405945205899519856L),
     "DART" -> Seq(-1030874324726443178L, -1030874324726443178L, 2924505010480779157L, 2924505010480779157L),
     "DOCS" -> Seq(-7242716547464182125L, -6531787784261248779L, 6924522226372606235L, -574412013533604469L),
     "LCA" -> Seq(1961702857383301044L, 2583604921905513750L, -3662820692387463421L, 8204838175351087508L),
