@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.core.TdhProb
-import repro.data.{AnswerLog, ObjectView}
+import repro.data.{AnswerLog, ClaimTable, ObjectView}
 
 import scala.collection.mutable
 
@@ -20,38 +20,38 @@ import scala.collection.mutable
   * objects per source pair — with Heritages-like long-tail sources the
   * estimates collapse, which is the behaviour reproduced here.
   */
-final class AccuInference(
-    popularityFalse: Boolean,
-    outerIters: Int = 4,
-    innerIters: Int = 8,
-    copyRate: Double = 0.8,
-    depPrior: Double = 0.2,
-) extends TruthInference {
+final class AccuInference(popularityFalse: Boolean) extends TruthInference {
   val name: String = if (popularityFalse) "POPACCU" else "ACCU"
-
-  private type Actor = (Boolean, Int) // (isWorker, id)
+  private val OuterIters = 4
+  private val InnerIters = 8
+  private val CopyRate = 0.8
+  private val DepPrior = 0.2
 
   def infer(views: Array[ObjectView], answers: AnswerLog): InferState = {
+    val claims = ClaimTable(views, answers)
     val nObj = views.length
-    // Per-object claim lists as (actor, candIdx).
-    val claims: Array[Array[(Actor, Int)]] = Array.tabulate(nObj) { o =>
-      val v = views(o)
-      (v.srcIds.indices.map(i => ((false, v.srcIds(i)): Actor, v.srcVals(i))) ++
-        answers.answersFor(o).map { case (w, j) => ((true, w): Actor, j) }).toArray
+    val accuracy = Array.fill(claims.nActors)(0.8)
+    val nClaims = claims.claimsPerActor
+    // voters are taken in decreasing accuracy, ties broken on (isWorker, id)
+    val byIdRank = new Array[Int](claims.nActors)
+    Array.range(0, claims.nActors).sortBy(a => (claims.isWorker(a), claims.actorId(a))).zipWithIndex
+      .foreach { case (a, rank) => byIdRank(a) = rank }
+    val voteOrder: Ordering[Int] = (a, b) => {
+      val c = java.lang.Double.compare(-accuracy(a), -accuracy(b))
+      if (c != 0) c else Integer.compare(byIdRank(a), byIdRank(b))
     }
-    val accuracy = mutable.HashMap.empty[Actor, Double]
-    val nClaims = mutable.HashMap.empty[Actor, Int].withDefaultValue(0)
-    claims.foreach(_.foreach { case (a, _) => accuracy(a) = 0.8; nClaims(a) += 1 })
 
     val mu = Array.tabulate(nObj)(o => Array.fill(views(o).nCands)(1.0 / views(o).nCands))
     var truth = Array.tabulate(nObj)(o => TdhProb.argmaxTruth(views(o), mu(o)))
     // dependence probability per unordered source pair (workers stay independent)
-    var dep = Map.empty[(Actor, Actor), Double]
+    var dep = mutable.LongMap.empty[Double]
+    def depOf(a: Int, b: Int): Double =
+      if (claims.isWorker(a) || claims.isWorker(b)) 0.0 else dep.getOrElse(pairKey(a, b), 0.0)
 
-    for (_ <- 1 to outerIters) {
-      dep = estimateDependence(views, claims, accuracy, truth)
+    for (_ <- 1 to OuterIters) {
+      dep = estimateDependence(claims, accuracy, truth)
       var inner = 0
-      while (inner < innerIters) {
+      while (inner < InnerIters) {
         for (o <- 0 until nObj) {
           val view = views(o)
           val n = view.nCands
@@ -59,12 +59,12 @@ final class AccuInference(
           // process actors in decreasing accuracy; discount repeated votes on
           // the same value by the probability of independence from the
           // already-counted voters of that value
-          val ordered = claims(o).sortBy { case (a, _) => (-accuracy(a), a) }
-          val counted = Array.fill(n)(List.empty[Actor])
-          ordered.foreach { case (a, u) =>
-            val indep = counted(u).foldLeft(1.0) { (acc, prev) =>
-              acc * (1 - dep.getOrElse(orderPair(a, prev), 0.0))
-            }
+          val ordered = Array.range(0, claims.nClaims(o)).sortBy(claims.actor(o, _))(voteOrder)
+          val counted = Array.fill(n)(List.empty[Int])
+          ordered.foreach { i =>
+            val a = claims.actor(o, i)
+            val u = claims.value(o, i)
+            val indep = counted(u).foldLeft(1.0)((acc, prev) => acc * (1 - depOf(a, prev)))
             val aAcc = clampP(accuracy(a))
             // POPACCU: popularity of u among the *false* claims (a value that
             // matches the current truth has no false occurrences, only the
@@ -79,97 +79,88 @@ final class AccuInference(
             conf(u) += indep * math.log(aAcc / math.max(1e-9, (1 - aAcc) * falseP))
             counted(u) ::= a
           }
-          val m = conf.max
-          val ex = conf.map(c => math.exp(c - m))
-          val z = ex.sum
-          var v = 0
-          while (v < n) { mu(o)(v) = ex(v) / z; v += 1 }
+          TruthInference.softmaxInto(conf, mu(o))
         }
         truth = Array.tabulate(nObj)(o => TdhProb.argmaxTruth(views(o), mu(o)))
         // accuracy update: expected fraction of correct claims
-        val hit = mutable.HashMap.empty[Actor, Double].withDefaultValue(0.0)
-        for (o <- 0 until nObj; (a, u) <- claims(o)) hit(a) += mu(o)(u)
-        accuracy.keys.foreach(a => accuracy(a) = clampP((hit(a) + 0.8) / (nClaims(a) + 1.0)))
+        val hit = new Array[Double](claims.nActors)
+        for (o <- 0 until nObj) claims.foreachClaim(o)((a, u) => hit(a) += mu(o)(u))
+        for (a <- accuracy.indices) accuracy(a) = clampP((hit(a) + 0.8) / (nClaims(a) + 1.0))
         inner += 1
       }
     }
 
-    val workerAcc = accuracy.collect { case ((true, w), q) => w -> q }.toMap
-    InferState(views, mu, truth,
-      TruthInference.uniformAnswerProb(views, w => workerAcc.getOrElse(w, 0.75)),
-      workerAcc)
+    TruthInference.uniformState(views, mu, truth, claims.byWorker(accuracy(_)))
   }
 
   /** Test hook: dependence probabilities for a fixed truth assignment and a
-    * flat source-accuracy prior (exposes the copy-detection machinery).
+    * flat source-accuracy prior (exposes the copy-detection machinery), keyed
+    * by ((isWorker, id), (isWorker, id)) pairs in id order.
     */
   private[baselines] def dependenceFor(
       views: Array[ObjectView],
       truth: Array[Int],
       accuracy: Double = 0.8,
   ): Map[((Boolean, Int), (Boolean, Int)), Double] = {
-    val claims: Array[Array[(Actor, Int)]] = Array.tabulate(views.length) { o =>
-      val v = views(o)
-      v.srcIds.indices.map(i => ((false, v.srcIds(i)): Actor, v.srcVals(i))).toArray
-    }
-    val acc = mutable.HashMap.empty[Actor, Double]
-    claims.foreach(_.foreach { case (a, _) => acc(a) = accuracy })
-    estimateDependence(views, claims, acc, truth)
+    val claims = ClaimTable(views, new AnswerLog(views.length))
+    estimateDependence(claims, Array.fill(claims.nSrc)(accuracy), truth).map { case (key, p) =>
+      val (s1, s2) = (claims.srcIds((key >>> 32).toInt), claims.srcIds(key.toInt))
+      (((false, math.min(s1, s2)), (false, math.max(s1, s2))), p)
+    }.toMap
   }
 
   private def clampP(x: Double): Double = math.max(0.01, math.min(0.99, x))
 
-  private def orderPair(a: Actor, b: Actor): (Actor, Actor) = if (actorLt(a, b)) (a, b) else (b, a)
-  private def actorLt(a: Actor, b: Actor): Boolean =
-    (a._1, a._2) match { case (w, i) => w < b._1 || (w == b._1 && i < b._2) }
+  /** Key of the unordered pair of dense source ids {a, b}. */
+  private def pairKey(a: Int, b: Int): Long = math.min(a, b).toLong << 32 | math.max(a, b)
 
   /** Bayesian copy detection over source pairs sharing objects (Dong'09 §3):
     * counts kt (agree on the truth), kf (agree on a false value), kd
     * (disagree) and compares the independent vs copying likelihoods.
     */
   private def estimateDependence(
-      views: Array[ObjectView],
-      claims: Array[Array[(Actor, Int)]],
-      accuracy: mutable.Map[Actor, Double],
+      claims: ClaimTable,
+      accuracy: Array[Double],
       truth: Array[Int],
-  ): Map[(Actor, Actor), Double] = {
-    val counts = mutable.HashMap.empty[(Actor, Actor), (Int, Int, Int, Double)] // kt, kf, kd, Σn
-    for (o <- views.indices) {
-      val cs = claims(o).filter(!_._1._1) // only web sources can copy each other
-      val n = math.max(1, views(o).nCands - 1)
+  ): mutable.LongMap[Double] = {
+    final class Counts(var kt: Int, var kf: Int, var kd: Int, var nSum: Double)
+    val counts = mutable.LongMap.empty[Counts]
+    for (o <- claims.views.indices) {
+      // only web sources can copy each other
+      val vals = claims.views(o).srcVals
+      val off = claims.recOff(o)
+      val n = math.max(1, claims.views(o).nCands - 1)
       var i = 0
-      while (i < cs.length) {
+      while (i < vals.length) {
         var j = i + 1
-        while (j < cs.length) {
-          val key = orderPair(cs(i)._1, cs(j)._1)
-          val (kt, kf, kd, ns) = counts.getOrElse(key, (0, 0, 0, 0.0))
-          val same = cs(i)._2 == cs(j)._2
-          val isTrue = same && cs(i)._2 == truth(o)
-          counts(key) =
-            if (isTrue) (kt + 1, kf, kd, ns + n)
-            else if (same) (kt, kf + 1, kd, ns + n)
-            else (kt, kf, kd + 1, ns + n)
+        while (j < vals.length) {
+          val c = counts.getOrElseUpdate(pairKey(claims.recSrc(off + i), claims.recSrc(off + j)), new Counts(0, 0, 0, 0.0))
+          val same = vals(i) == vals(j)
+          if (same && vals(i) == truth(o)) c.kt += 1
+          else if (same) c.kf += 1
+          else c.kd += 1
+          c.nSum += n
           j += 1
         }
         i += 1
       }
     }
-    counts.iterator.map { case (key @ (a1, a2), (kt, kf, kd, nSum)) =>
-      val tot = kt + kf + kd
-      val n = math.max(1.0, nSum / tot)
-      val q1 = clampP(accuracy(a1)); val q2 = clampP(accuracy(a2))
+    counts.map { case (key, c) =>
+      val tot = c.kt + c.kf + c.kd
+      val n = math.max(1.0, c.nSum / tot)
+      val q1 = clampP(accuracy((key >>> 32).toInt)); val q2 = clampP(accuracy(key.toInt))
       val pT = q1 * q2
       val pF = (1 - q1) * (1 - q2) / n
       val pD = math.max(1e-9, 1 - pT - pF)
       val qAvg = (q1 + q2) / 2
-      val li = kt * math.log(pT) + kf * math.log(math.max(1e-12, pF)) + kd * math.log(pD)
-      val ld = kt * math.log(copyRate * qAvg + (1 - copyRate) * pT) +
-        kf * math.log(math.max(1e-12, copyRate * (1 - qAvg) + (1 - copyRate) * pF)) +
-        kd * math.log((1 - copyRate) * pD)
+      val li = c.kt * math.log(pT) + c.kf * math.log(math.max(1e-12, pF)) + c.kd * math.log(pD)
+      val ld = c.kt * math.log(CopyRate * qAvg + (1 - CopyRate) * pT) +
+        c.kf * math.log(math.max(1e-12, CopyRate * (1 - qAvg) + (1 - CopyRate) * pF)) +
+        c.kd * math.log((1 - CopyRate) * pD)
       val m = math.max(li, ld)
-      val pDep = depPrior * math.exp(ld - m) /
-        (depPrior * math.exp(ld - m) + (1 - depPrior) * math.exp(li - m))
+      val pDep = DepPrior * math.exp(ld - m) /
+        (DepPrior * math.exp(ld - m) + (1 - DepPrior) * math.exp(li - m))
       key -> pDep
-    }.toMap
+    }
   }
 }

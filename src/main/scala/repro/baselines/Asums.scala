@@ -1,9 +1,7 @@
 package repro.baselines
 
 import repro.core.TdhProb
-import repro.data.{AnswerLog, ObjectView}
-
-import scala.collection.mutable
+import repro.data.{AnswerLog, ClaimTable, ObjectView}
 
 /** ASUMS (Beretta et al., WIMS 2016): the fixed-point Sums/Hubs-Authorities
   * scheme of Pasternack & Roth adapted to hierarchies — a claim on value u
@@ -15,45 +13,36 @@ import scala.collection.mutable
   * The paper (§5.2, Fig. 5) highlights that ASUMS keeps one reliability score
   * t(s) per source and therefore under-estimates sources that generalize.
   */
-final class AsumsInference(
-    iterations: Int = 20,
-    threshold: Double = 0.55,
-) extends TruthInference {
+final class AsumsInference(threshold: Double = 0.55) extends TruthInference {
   val name = "ASUMS"
+  private val Iterations = 20
 
   def infer(views: Array[ObjectView], answers: AnswerLog): InferState = {
+    val claims = ClaimTable(views, answers)
     val nObj = views.length
-    // supporters(o)(v) = claim occurrences (by actor key) whose value is v or a descendant of v
-    type Actor = (Boolean, Int)
-    val claimsOf = mutable.HashMap.empty[Actor, mutable.ArrayBuffer[(Int, Int)]] // actor -> (obj, candIdx)
-    def addClaim(a: Actor, o: Int, j: Int): Unit =
-      claimsOf.getOrElseUpdate(a, mutable.ArrayBuffer.empty) += ((o, j))
-    for (o <- 0 until nObj) {
-      val v = views(o)
-      v.srcIds.indices.foreach(i => addClaim((false, v.srcIds(i)), o, v.srcVals(i)))
-      answers.answersFor(o).foreach { case (w, j) => addClaim((true, w), o, j) }
-    }
-
-    val trust = mutable.HashMap.empty[Actor, Double]
-    claimsOf.keys.foreach(trust(_) = 1.0)
+    val nClaims = claims.claimsPerActor
+    val trust = Array.fill(claims.nActors)(1.0)
     val belief = Array.tabulate(nObj)(o => Array.fill(views(o).nCands)(1.0))
 
-    for (_ <- 1 to iterations) {
+    for (_ <- 1 to Iterations) {
       // B(v) = Σ_{claims u s.t. v generalizes u} T(actor)
-      for (o <- 0 until nObj) java.util.Arrays.fill(belief(o), 0.0)
-      for ((actor, claims) <- claimsOf; (o, j) <- claims) {
-        val view = views(o)
-        val t = trust(actor)
-        belief(o)(j) += t
-        view.anc(j).foreach(a => belief(o)(a) += t) // support propagates upward
+      for (o <- 0 until nObj) {
+        val b = belief(o)
+        java.util.Arrays.fill(b, 0.0)
+        claims.foreachClaim(o) { (a, j) =>
+          val t = trust(a)
+          b(j) += t
+          views(o).anc(j).foreach(x => b(x) += t) // support propagates upward
+        }
       }
       val bMax = math.max(1e-12, belief.iterator.flatMap(_.iterator).max)
       belief.foreach { arr => var i = 0; while (i < arr.length) { arr(i) /= bMax; i += 1 } }
       // T(actor) = mean belief of its claims, normalized by the max trust
-      for ((actor, claims) <- claimsOf)
-        trust(actor) = claims.iterator.map { case (o, j) => belief(o)(j) }.sum / claims.size
-      val tMax = math.max(1e-12, trust.values.max)
-      trust.keys.foreach(a => trust(a) /= tMax)
+      java.util.Arrays.fill(trust, 0.0)
+      for (o <- 0 until nObj) claims.foreachClaim(o)((a, j) => trust(a) += belief(o)(j))
+      for (a <- trust.indices) trust(a) /= nClaims(a)
+      val tMax = math.max(1e-12, trust.max)
+      for (a <- trust.indices) trust(a) /= tMax
     }
 
     // Truth: deepest candidate whose support >= threshold * max support.
@@ -69,9 +58,6 @@ final class AsumsInference(
       val z = math.max(1e-12, b.sum)
       b.map(_ / z)
     }
-    val workerAcc = trust.collect { case ((true, w), t) => w -> math.min(0.99, t) }.toMap
-    InferState(views, mu, truth,
-      TruthInference.uniformAnswerProb(views, w => workerAcc.getOrElse(w, 0.75)),
-      workerAcc)
+    TruthInference.uniformState(views, mu, truth, claims.byWorker(a => math.min(0.99, trust(a))))
   }
 }

@@ -1,9 +1,7 @@
 package repro.baselines
 
 import repro.core.TdhProb
-import repro.data.{AnswerLog, ObjectView}
-
-import scala.collection.mutable
+import repro.data.{AnswerLog, ClaimTable, ObjectView}
 
 /** CRH (Li et al., SIGMOD 2014): conflict resolution on heterogeneous data.
   *
@@ -12,52 +10,41 @@ import scala.collection.mutable
   * categorical data the loss is 0-1 against the current truth estimate.
   * (The numeric instantiation lives in [[repro.numeric.NumericAlgorithms]].)
   */
-final class CrhInference(iterations: Int = 15) extends TruthInference {
+final class CrhInference extends TruthInference {
   val name = "CRH"
-
-  private type Actor = (Boolean, Int)
+  private val Iterations = 15
 
   def infer(views: Array[ObjectView], answers: AnswerLog): InferState = {
+    val claims = ClaimTable(views, answers)
     val nObj = views.length
-    val claims: Array[Array[(Actor, Int)]] = Array.tabulate(nObj) { o =>
-      val v = views(o)
-      (v.srcIds.indices.map(i => ((false, v.srcIds(i)): Actor, v.srcVals(i))) ++
-        answers.answersFor(o).map { case (w, j) => ((true, w): Actor, j) }).toArray
-    }
-    val weights = mutable.HashMap.empty[Actor, Double]
-    val nClaims = mutable.HashMap.empty[Actor, Int].withDefaultValue(0)
-    claims.foreach(_.foreach { case (a, _) => weights(a) = 1.0; nClaims(a) += 1 })
+    val weights = Array.fill(claims.nActors)(1.0)
 
     val mu = Array.tabulate(nObj)(o => new Array[Double](views(o).nCands))
-    var truth = new Array[Int](nObj)
-    for (_ <- 1 to iterations) {
+    val truth = new Array[Int](nObj)
+    for (_ <- 1 to Iterations) {
       // truths from weighted vote
       for (o <- 0 until nObj) {
         val score = new Array[Double](views(o).nCands)
-        claims(o).foreach { case (a, u) => score(u) += weights(a) }
+        claims.foreachClaim(o)((a, u) => score(u) += weights(a))
         val z = math.max(1e-12, score.sum)
         var v = 0
         while (v < score.length) { mu(o)(v) = score(v) / z; v += 1 }
         truth(o) = TdhProb.argmaxTruth(views(o), mu(o))
       }
       // weights from normalized 0-1 loss
-      val loss = mutable.HashMap.empty[Actor, Double].withDefaultValue(0.0)
-      for (o <- 0 until nObj; (a, u) <- claims(o)) if (u != truth(o)) loss(a) += 1.0
-      val totalLoss = math.max(1e-9, weights.keysIterator.map(loss).sum)
-      weights.keys.foreach { a =>
-        val norm = (loss(a) + 0.5) / (totalLoss + 0.5 * weights.size)
+      val loss = new Array[Double](claims.nActors)
+      for (o <- 0 until nObj) claims.foreachClaim(o)((a, u) => if (u != truth(o)) loss(a) += 1.0)
+      val totalLoss = math.max(1e-9, loss.sum)
+      for (a <- weights.indices) {
+        val norm = (loss(a) + 0.5) / (totalLoss + 0.5 * claims.nActors)
         weights(a) = -math.log(norm)
       }
     }
 
-    val workerAcc = weights.collect { case ((true, w), wt) =>
-      // invert the weight into an accuracy-like estimate via the claim count
-      val l = claims.flatten.count { case (a, _) => a == ((true, w)) }
-      w -> math.max(0.05, 1.0 - math.min(0.95, l.toDouble / math.max(1, nClaims(((true, w)))) * 0.2))
-    }.toMap
-    InferState(views, mu, truth,
-      TruthInference.uniformAnswerProb(views, w => workerAcc.getOrElse(w, 0.75)),
-      workerAcc)
+    // CRH has no worker accuracy model: every known worker gets 0.8 in the
+    // uniform answer model (ME, the assigner Table 4 pairs it with, never
+    // reads workerAcc).
+    TruthInference.uniformState(views, mu, truth, claims.byWorker(_ => 0.8))
   }
 }
 
@@ -67,42 +54,36 @@ final class CrhInference(iterations: Int = 15) extends TruthInference {
   * support clears a low threshold — reproducing DART's reported high-recall /
   * low-precision profile.
   */
-final class DartInference(
-    domainOf: (Array[ObjectView], Int) => Int,
-    iterations: Int = 10,
-    threshold: Double = 0.05,
-) {
+final class DartInference(domainOf: (Array[ObjectView], Int) => Int) {
   val name = "DART"
+  private val Iterations = 10
+  private val Threshold = 0.05
 
   def inferSets(views: Array[ObjectView], answers: AnswerLog): Array[Set[Int]] = {
+    val claims = ClaimTable(views, answers)
     val nObj = views.length
-    type Key = (Boolean, Int, Int) // actor kind, id, domain
-    val dom = Array.tabulate(nObj)(o => domainOf(views, o))
-    val claims: Array[Array[(Key, Int)]] = Array.tabulate(nObj) { o =>
-      val v = views(o)
-      (v.srcIds.indices.map(i => ((false, v.srcIds(i), dom(o)): Key, v.srcVals(i))) ++
-        answers.answersFor(o).map { case (w, j) => ((true, w, dom(o)): Key, j) }).toArray
-    }
-    val w = mutable.HashMap.empty[Key, Double]
-    val n = mutable.HashMap.empty[Key, Int].withDefaultValue(0)
-    claims.foreach(_.foreach { case (k, _) => w(k) = 1.0; n(k) += 1 })
+    val (dom, nDom) = Domains.dense(views, domainOf)
+    // weight and claim count of actor a in domain d at a * nDom + d
+    val w = Array.fill(claims.nActors * nDom)(1.0)
+    val n = new Array[Int](w.length)
+    for (o <- 0 until nObj) claims.foreachClaim(o)((a, _) => n(a * nDom + dom(o)) += 1)
 
     val support = Array.tabulate(nObj)(o => new Array[Double](views(o).nCands))
-    for (_ <- 1 to iterations) {
+    for (_ <- 1 to Iterations) {
       for (o <- 0 until nObj) {
         java.util.Arrays.fill(support(o), 0.0)
-        claims(o).foreach { case (k, u) => support(o)(u) += w(k) }
+        claims.foreachClaim(o)((a, u) => support(o)(u) += w(a * nDom + dom(o)))
         val z = math.max(1e-12, support(o).max)
         var v = 0
         while (v < support(o).length) { support(o)(v) /= z; v += 1 }
       }
-      val hit = mutable.HashMap.empty[Key, Double].withDefaultValue(0.0)
-      for (o <- 0 until nObj; (k, u) <- claims(o)) hit(k) += support(o)(u)
-      w.keys.foreach(k => w(k) = (hit(k) + 1.0) / (n(k) + 2.0))
+      val hit = new Array[Double](w.length)
+      for (o <- 0 until nObj) claims.foreachClaim(o)((a, u) => hit(a * nDom + dom(o)) += support(o)(u))
+      for (k <- w.indices) w(k) = (hit(k) + 1.0) / (n(k) + 2.0)
     }
     Array.tabulate(nObj) { o =>
       val v = views(o)
-      (0 until v.nCands).filter(support(o)(_) >= threshold).map(v.cands).toSet
+      (0 until v.nCands).filter(support(o)(_) >= Threshold).map(v.cands).toSet
     }
   }
 }

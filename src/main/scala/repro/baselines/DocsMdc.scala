@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.core.TdhProb
-import repro.data.{AnswerLog, ObjectView}
+import repro.data.{AnswerLog, ClaimTable, ObjectView}
 import repro.hier.Hierarchy
 
 import scala.collection.mutable
@@ -16,42 +16,29 @@ import scala.collection.mutable
   * WSDM 2017) is instantiated as the single-domain two-coin model — its
   * medical-symptom machinery has no counterpart in this data.
   */
-abstract class AccuracyEmInference(
-    numDomains: Int => Int,
-    domainOf: (Array[ObjectView], Int) => Int,
-    maxIters: Int,
-) extends TruthInference {
+abstract class AccuracyEmInference(domainOf: (Array[ObjectView], Int) => Int) extends TruthInference {
+  private val MaxIters = 50
 
   def infer(views: Array[ObjectView], answers: AnswerLog): InferState = {
+    val claims = ClaimTable(views, answers)
     val nObj = views.length
-    val dom = Array.tabulate(nObj)(o => domainOf(views, o))
-
-    type Actor = (Boolean, Int)
-    val acc = mutable.HashMap.empty[(Actor, Int), Double] // (actor, domain) -> accuracy
-    val cnt = mutable.HashMap.empty[(Actor, Int), Int].withDefaultValue(0)
-    for (o <- 0 until nObj) {
-      val v = views(o)
-      v.srcIds.foreach { s => acc(((false, s), dom(o))) = 0.8; cnt(((false, s), dom(o))) += 1 }
-      answers.answersFor(o).foreach { case (w, _) =>
-        acc(((true, w), dom(o))) = 0.8; cnt(((true, w), dom(o))) += 1
-      }
-    }
+    val (dom, nDom) = Domains.dense(views, domainOf)
+    // accuracy and claim count of actor a in domain d at a * nDom + d
+    val acc = Array.fill(claims.nActors * nDom)(0.8)
+    val cnt = new Array[Int](claims.nActors * nDom)
+    for (o <- 0 until nObj) claims.foreachClaim(o)((a, _) => cnt(a * nDom + dom(o)) += 1)
 
     val mu = Array.tabulate(nObj)(o => Array.fill(views(o).nCands)(1.0 / views(o).nCands))
     var iter = 0
     var delta = Double.MaxValue
-    while (iter < maxIters && delta > 1e-6) {
-      val hit = mutable.HashMap.empty[(Actor, Int), Double].withDefaultValue(0.0)
+    while (iter < MaxIters && delta > 1e-6) {
+      val hit = new Array[Double](acc.length)
       delta = 0.0
       for (o <- 0 until nObj) {
-        val view = views(o)
-        val n = view.nCands
-        val claims: Seq[(Actor, Int)] =
-          view.srcIds.indices.map(i => ((false, view.srcIds(i)): Actor, view.srcVals(i))) ++
-            answers.answersFor(o).map { case (w, j) => ((true, w): Actor, j) }
+        val n = views(o).nCands
         val logMu = new Array[Double](n)
-        claims.foreach { case (a, u) =>
-          val q = acc((a, dom(o)))
+        claims.foreachClaim(o) { (a, u) =>
+          val q = acc(a * nDom + dom(o))
           var v = 0
           while (v < n) {
             val p = if (u == v) q else if (n <= 1) 1e-12 else (1 - q) / (n - 1)
@@ -59,35 +46,20 @@ abstract class AccuracyEmInference(
             v += 1
           }
         }
-        val m = logMu.max
-        val ex = logMu.map(x => math.exp(x - m))
-        val z = ex.sum
-        var v = 0
-        while (v < n) {
-          val next = ex(v) / z
-          delta = math.max(delta, math.abs(next - mu(o)(v)))
-          mu(o)(v) = next
-          v += 1
-        }
-        claims.foreach { case (a, u) => hit((a, dom(o))) += mu(o)(u) }
+        delta = math.max(delta, TruthInference.softmaxInto(logMu, mu(o)))
+        claims.foreachClaim(o)((a, u) => hit(a * nDom + dom(o)) += mu(o)(u))
       }
-      acc.keys.foreach { k =>
-        acc(k) = (hit(k) + 1.0) / (cnt(k) + 2.0)
-      }
+      for (k <- acc.indices) acc(k) = (hit(k) + 1.0) / (cnt(k) + 2.0)
       iter += 1
     }
 
     val truth = Array.tabulate(nObj)(o => TdhProb.argmaxTruth(views(o), mu(o)))
-    // Worker accuracy: claim-weighted mean over domains.
-    val workerAcc: Map[Int, Double] = acc.keys.collect { case ((true, w), _) => w }.toSet
-      .map { (w: Int) =>
-        val ks = acc.keys.filter(_._1 == ((true, w))).toSeq
-        val tot = ks.map(k => cnt(k)).sum
-        w -> ks.map(k => acc(k) * cnt(k)).sum / math.max(1, tot)
-      }.toMap
-    InferState(views, mu, truth,
-      TruthInference.uniformAnswerProb(views, w => workerAcc.getOrElse(w, 0.75)),
-      workerAcc)
+    // Worker accuracy: claim-weighted mean over the domains it claims in.
+    val workerAcc = claims.byWorker { a =>
+      val ks = (a * nDom until (a + 1) * nDom).filter(cnt(_) > 0)
+      ks.map(k => acc(k) * cnt(k)).sum / math.max(1, ks.map(cnt).sum)
+    }
+    TruthInference.uniformState(views, mu, truth, workerAcc)
   }
 }
 
@@ -105,16 +77,23 @@ object Domains {
     }
     if (counts.isEmpty) 0 else counts.toSeq.minBy { case (d, c) => (-c, d) }._1
   }
+
+  /** Each object's domain under `domainOf` as a dense index (in order of first
+    * appearance), and the number of domains.
+    */
+  def dense(views: Array[ObjectView], domainOf: (Array[ObjectView], Int) => Int): (Array[Int], Int) = {
+    val index = mutable.HashMap.empty[Int, Int]
+    val dom = Array.tabulate(views.length)(o => index.getOrElseUpdate(domainOf(views, o), index.size))
+    (dom, index.size)
+  }
 }
 
 /** DOCS with hierarchy-derived domains. */
-final class DocsInference(h: Hierarchy, maxIters: Int = 50)
-    extends AccuracyEmInference(_ => h.children(0).length, Domains.topLevelDomain(h), maxIters) {
+final class DocsInference(h: Hierarchy) extends AccuracyEmInference(Domains.topLevelDomain(h)) {
   val name = "DOCS"
 }
 
 /** MDC as the single-domain accuracy EM (see DESIGN.md for the substitution). */
-final class MdcInference(maxIters: Int = 50)
-    extends AccuracyEmInference(_ => 1, (_, _) => 0, maxIters) {
+final class MdcInference extends AccuracyEmInference((_, _) => 0) {
   val name = "MDC"
 }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.core.{TdhHyper, TdhLocal, TdhProb, TdhResult}
-import repro.data.{AnswerLog, ObjectView}
+import repro.data.{AnswerLog, ClaimTable, ObjectView}
 
 /** Result of one truth-inference run, in the shape the task-assignment
   * algorithms need.
@@ -45,17 +45,40 @@ trait TruthInference {
 }
 
 object TruthInference {
-  /** Default symmetric-error answer model for algorithms without an explicit
-    * worker model: correct with probability `acc`, uniform otherwise.
+  /** A state under the symmetric-error answer model, for algorithms without
+    * an explicit worker model: worker w answers correctly with probability
+    * workerAcc(w) (0.75 if unknown), uniformly wrong otherwise.
     */
-  def uniformAnswerProb(views: Array[ObjectView], acc: Int => Double)
-      : (Int, Int, Int, Int) => Double =
-    (o, w, u, v) => {
+  def uniformState(views: Array[ObjectView], mu: Array[Array[Double]], truthIdx: Array[Int],
+      workerAcc: Map[Int, Double]): InferState = {
+    val answerProb = (o: Int, w: Int, u: Int, v: Int) => {
+      val acc = workerAcc.getOrElse(w, 0.75)
       val n = views(o).nCands
-      if (u == v) acc(w)
+      if (u == v) acc
       else if (n <= 1) 0.0
-      else (1 - acc(w)) / (n - 1)
+      else (1 - acc) / (n - 1)
     }
+    InferState(views, mu, truthIdx, answerProb, workerAcc)
+  }
+
+  /** μ_o ← softmax(logScore) in place (overwriting logScore with exp terms);
+    * returns max_v |Δμ_o(v)|.
+    */
+  private[baselines] def softmaxInto(logScore: Array[Double], mu: Array[Double]): Double = {
+    val m = logScore.max
+    var z = 0.0
+    var v = 0
+    while (v < logScore.length) { logScore(v) = math.exp(logScore(v) - m); z += logScore(v); v += 1 }
+    var delta = 0.0
+    v = 0
+    while (v < logScore.length) {
+      val next = logScore(v) / z
+      delta = math.max(delta, math.abs(next - mu(v)))
+      mu(v) = next
+      v += 1
+    }
+    delta
+  }
 }
 
 /** The paper's TDH inference (§3) exposed through the common interface. */
@@ -92,16 +115,13 @@ final class VoteInference extends TruthInference {
   val name = "VOTE"
 
   def infer(views: Array[ObjectView], answers: AnswerLog): InferState = {
+    val claims = ClaimTable(views, answers)
     val mu = Array.tabulate(views.length) { o =>
-      val v = views(o)
-      val cnt = v.srcCount.map(_.toDouble)
-      answers.answersFor(o).foreach { case (_, j) => cnt(j) += 1 }
-      val tot = cnt.sum
+      val cnt = claims.votes(o)
+      val tot = cnt.sum.toDouble
       cnt.map(_ / tot)
     }
     val truth = Array.tabulate(views.length)(o => TdhProb.argmaxTruth(views(o), mu(o)))
-    InferState(views, mu, truth,
-      TruthInference.uniformAnswerProb(views, _ => 0.75),
-      Map.empty)
+    TruthInference.uniformState(views, mu, truth, Map.empty)
   }
 }

@@ -1,9 +1,7 @@
 package repro.baselines
 
 import repro.core.TdhProb
-import repro.data.{AnswerLog, ObjectView}
-
-import scala.collection.mutable
+import repro.data.{AnswerLog, ClaimTable, ObjectView}
 
 /** GuessLCA (Pasternack & Roth, WWW 2013): each source/worker has an honesty
   * parameter θ; an honest claim is the truth, a dishonest one is a "guess"
@@ -12,16 +10,17 @@ import scala.collection.mutable
   * EM: μ_{o,v} ∝ Π_claims [θ if claim = v else (1−θ)·guess_o(claim|v)];
   * θ = smoothed expected fraction of exactly-correct claims.
   */
-final class LcaInference(maxIters: Int = 50, tol: Double = 1e-6) extends TruthInference {
+final class LcaInference extends TruthInference {
   val name = "LCA"
+  private val MaxIters = 50
+  private val Tol = 1e-6
 
   def infer(views: Array[ObjectView], answers: AnswerLog): InferState = {
+    val claims = ClaimTable(views, answers)
     val nObj = views.length
     // popularity of each candidate among all claims on its object
     val popularity = Array.tabulate(nObj) { o =>
-      val v = views(o)
-      val cnt = v.srcCount.map(_.toDouble)
-      answers.answersFor(o).foreach { case (_, j) => cnt(j) += 1 }
+      val cnt = claims.votes(o).map(_.toDouble)
       val tot = math.max(1.0, cnt.sum)
       cnt.map(c => math.max(c / tot, 1e-6))
     }
@@ -32,57 +31,35 @@ final class LcaInference(maxIters: Int = 50, tol: Double = 1e-6) extends TruthIn
       if (u == v || z <= 1e-9) 1e-9 else pop(u) / z
     }
 
-    val theta = mutable.HashMap.empty[(Boolean, Int), Double] // (isWorker, id) -> honesty
-    val claimCount = mutable.HashMap.empty[(Boolean, Int), Int].withDefaultValue(0)
-    views.foreach(v => v.srcIds.foreach { s => theta((false, s)) = 0.8; claimCount((false, s)) += 1 })
-    for (o <- 0 until nObj; (w, _) <- answers.answersFor(o)) {
-      theta((true, w)) = 0.8; claimCount((true, w)) += 1
-    }
+    val theta = Array.fill(claims.nActors)(0.8) // honesty by actor
+    val claimCount = claims.claimsPerActor
 
     val mu = Array.tabulate(nObj)(o => Array.fill(views(o).nCands)(1.0 / views(o).nCands))
     var iter = 0
     var delta = Double.MaxValue
-    while (iter < maxIters && delta > tol) {
-      val thetaAcc = mutable.HashMap.empty[(Boolean, Int), Double].withDefaultValue(0.0)
+    while (iter < MaxIters && delta > Tol) {
+      val thetaAcc = new Array[Double](claims.nActors)
       delta = 0.0
       for (o <- 0 until nObj) {
-        val view = views(o)
-        val n = view.nCands
+        val n = views(o).nCands
         val logMu = new Array[Double](n)
-        val claims: Seq[((Boolean, Int), Int)] =
-          view.srcIds.indices.map(i => ((false, view.srcIds(i)), view.srcVals(i))) ++
-            answers.answersFor(o).map { case (w, j) => ((true, w), j) }
-        for (((key, u), _) <- claims.zipWithIndex) {
-          val th = theta(key)
+        claims.foreachClaim(o) { (a, u) =>
+          val th = theta(a)
           var v = 0
           while (v < n) {
             logMu(v) += math.log(if (u == v) math.max(th, 1e-9) else math.max((1 - th) * guess(o, u, v), 1e-12))
             v += 1
           }
         }
-        val m = logMu.max
-        val ex = logMu.map(x => math.exp(x - m))
-        val z = ex.sum
-        var v = 0
-        while (v < n) {
-          val next = ex(v) / z
-          delta = math.max(delta, math.abs(next - mu(o)(v)))
-          mu(o)(v) = next
-          v += 1
-        }
+        delta = math.max(delta, TruthInference.softmaxInto(logMu, mu(o)))
         // E contribution to honesty: posterior that each claim is exact
-        claims.foreach { case (key, u) => thetaAcc(key) += mu(o)(u) }
+        claims.foreachClaim(o)((a, u) => thetaAcc(a) += mu(o)(u))
       }
-      theta.keys.foreach { key =>
-        theta(key) = (thetaAcc(key) + 1.0) / (claimCount(key) + 2.0) // Beta(1,1) smoothing
-      }
+      for (a <- theta.indices) theta(a) = (thetaAcc(a) + 1.0) / (claimCount(a) + 2.0) // Beta(1,1) smoothing
       iter += 1
     }
 
     val truth = Array.tabulate(nObj)(o => TdhProb.argmaxTruth(views(o), mu(o)))
-    val workerAcc = theta.collect { case ((true, w), th) => w -> th }.toMap
-    InferState(views, mu, truth,
-      TruthInference.uniformAnswerProb(views, w => workerAcc.getOrElse(w, 0.75)),
-      workerAcc)
+    TruthInference.uniformState(views, mu, truth, claims.byWorker(theta(_)))
   }
 }

@@ -1,9 +1,7 @@
 package repro.baselines
 
 import repro.core.TdhProb
-import repro.data.{AnswerLog, ObjectView}
-
-import scala.collection.mutable
+import repro.data.{AnswerLog, ClaimTable, ObjectView}
 
 /** LFC — Learning From Crowds (Raykar et al., JMLR 2010), single-truth form.
   *
@@ -12,58 +10,39 @@ import scala.collection.mutable
   * side is the max candidate-set size, which is why the paper notes LFC is
   * slow when |V_o| grows (§5.4 execution times).
   */
-final class LfcInference(maxIters: Int = 50) extends TruthInference {
+final class LfcInference extends TruthInference {
   val name = "LFC"
-
-  private type Actor = (Boolean, Int)
+  private val MaxIters = 50
 
   def infer(views: Array[ObjectView], answers: AnswerLog): InferState = {
+    val claims = ClaimTable(views, answers)
     val nObj = views.length
     val k = views.map(_.nCands).max
-    val claims: Array[Array[(Actor, Int)]] = Array.tabulate(nObj) { o =>
-      val v = views(o)
-      (v.srcIds.indices.map(i => ((false, v.srcIds(i)): Actor, v.srcVals(i))) ++
-        answers.answersFor(o).map { case (w, j) => ((true, w): Actor, j) }).toArray
-    }
-    // init: diagonally dominant confusion matrices
-    val pi = mutable.HashMap.empty[Actor, Array[Array[Double]]]
-    claims.foreach(_.foreach { case (a, _) =>
-      if (!pi.contains(a))
-        pi(a) = Array.tabulate(k, k)((j, l) => if (j == l) 0.7 else 0.3 / math.max(1, k - 1))
-    })
+    // init: diagonally dominant confusion matrices, by actor
+    val pi = Array.fill(claims.nActors)(Array.tabulate(k, k)((j, l) => if (j == l) 0.7 else 0.3 / math.max(1, k - 1)))
 
     val mu = Array.tabulate(nObj)(o => Array.fill(views(o).nCands)(1.0 / views(o).nCands))
     var iter = 0
     var delta = Double.MaxValue
-    while (iter < maxIters && delta > 1e-6) {
-      val acc = mutable.HashMap.empty[Actor, Array[Array[Double]]]
-      pi.keys.foreach(a => acc(a) = Array.ofDim[Double](k, k))
+    while (iter < MaxIters && delta > 1e-6) {
+      val acc = Array.fill(claims.nActors)(Array.ofDim[Double](k, k))
       delta = 0.0
       for (o <- 0 until nObj) {
         val n = views(o).nCands
         val logMu = new Array[Double](n)
-        claims(o).foreach { case (a, u) =>
+        claims.foreachClaim(o) { (a, u) =>
           val m = pi(a)
           var j = 0
           while (j < n) { logMu(j) += math.log(math.max(m(j)(u), 1e-12)); j += 1 }
         }
-        val mx = logMu.max
-        val ex = logMu.map(x => math.exp(x - mx))
-        val z = ex.sum
-        var j = 0
-        while (j < n) {
-          val next = ex(j) / z
-          delta = math.max(delta, math.abs(next - mu(o)(j)))
-          mu(o)(j) = next
-          j += 1
-        }
-        claims(o).foreach { case (a, u) =>
+        delta = math.max(delta, TruthInference.softmaxInto(logMu, mu(o)))
+        claims.foreachClaim(o) { (a, u) =>
           val m = acc(a)
           var jj = 0
           while (jj < n) { m(jj)(u) += mu(o)(jj); jj += 1 }
         }
       }
-      pi.keys.foreach { a =>
+      for (a <- pi.indices) {
         val m = acc(a)
         val rowSum = m.map(_.sum)
         pi(a) = Array.tabulate(k, k)((j, l) => (m(j)(l) + 0.1) / (rowSum(j) + 0.1 * k)) // Laplace-smoothed rows
@@ -72,12 +51,8 @@ final class LfcInference(maxIters: Int = 50) extends TruthInference {
     }
 
     val truth = Array.tabulate(nObj)(o => TdhProb.argmaxTruth(views(o), mu(o)))
-    val workerAcc = pi.collect { case ((true, w), m) =>
-      w -> (0 until k).map(j => m(j)(j)).sum / k
-    }.toMap
-    InferState(views, mu, truth,
-      TruthInference.uniformAnswerProb(views, w => workerAcc.getOrElse(w, 0.75)),
-      workerAcc)
+    val workerAcc = claims.byWorker(a => (0 until k).map(j => pi(a)(j)(j)).sum / k)
+    TruthInference.uniformState(views, mu, truth, workerAcc)
   }
 }
 
@@ -95,41 +70,29 @@ class BinaryPerValueEm(
     priorTrue: Double,
     seA: Double, seB: Double,
     spA: Double, spB: Double,
-    maxIters: Int = 50,
 ) {
+  private val MaxIters = 50
 
   /** Posterior P(t_{o,v} = 1) for every object and candidate. */
   def posteriors(views: Array[ObjectView], answers: AnswerLog): Array[Array[Double]] = {
+    val claims = ClaimTable(views, answers)
     val nObj = views.length
-    type Actor = (Boolean, Int)
-    val claims: Array[Array[(Actor, Int)]] = Array.tabulate(nObj) { o =>
-      val v = views(o)
-      (v.srcIds.indices.map(i => ((false, v.srcIds(i)): Actor, v.srcVals(i))) ++
-        answers.answersFor(o).map { case (w, j) => ((true, w): Actor, j) }).toArray
-    }
-    val se = mutable.HashMap.empty[Actor, Double] // P(label v | v true)
-    val sp = mutable.HashMap.empty[Actor, Double] // P(not label v | v false)
-    claims.foreach(_.foreach { case (a, _) =>
-      se.getOrElseUpdate(a, seA / (seA + seB))
-      sp.getOrElseUpdate(a, spA / (spA + spB))
-    })
+    val se = Array.fill(claims.nActors)(seA / (seA + seB)) // P(label v | v true), by actor
+    val sp = Array.fill(claims.nActors)(spA / (spA + spB)) // P(not label v | v false)
 
     val post = Array.tabulate(nObj)(o => Array.fill(views(o).nCands)(priorTrue))
     var iter = 0
     var delta = Double.MaxValue
-    while (iter < maxIters && delta > 1e-6) {
+    while (iter < MaxIters && delta > 1e-6) {
       delta = 0.0
-      val seNum = mutable.HashMap.empty[Actor, Double].withDefaultValue(0.0)
-      val seDen = mutable.HashMap.empty[Actor, Double].withDefaultValue(0.0)
-      val spNum = mutable.HashMap.empty[Actor, Double].withDefaultValue(0.0)
-      val spDen = mutable.HashMap.empty[Actor, Double].withDefaultValue(0.0)
+      val seNum, seDen, spNum, spDen = new Array[Double](claims.nActors)
       for (o <- 0 until nObj) {
         val n = views(o).nCands
         var v = 0
         while (v < n) {
           var lp1 = math.log(priorTrue)
           var lp0 = math.log(1 - priorTrue)
-          claims(o).foreach { case (a, u) =>
+          claims.foreachClaim(o) { (a, u) =>
             val pos = u == v
             lp1 += math.log(math.max(1e-12, if (pos) se(a) else 1 - se(a)))
             lp0 += math.log(math.max(1e-12, if (pos) 1 - sp(a) else sp(a)))
@@ -138,7 +101,7 @@ class BinaryPerValueEm(
           val p1 = math.exp(lp1 - m) / (math.exp(lp1 - m) + math.exp(lp0 - m))
           delta = math.max(delta, math.abs(p1 - post(o)(v)))
           post(o)(v) = p1
-          claims(o).foreach { case (a, u) =>
+          claims.foreachClaim(o) { (a, u) =>
             val pos = u == v
             seDen(a) += p1; if (pos) seNum(a) += p1
             spDen(a) += 1 - p1; if (!pos) spNum(a) += 1 - p1
@@ -146,7 +109,7 @@ class BinaryPerValueEm(
           v += 1
         }
       }
-      se.keys.foreach { a =>
+      for (a <- se.indices) {
         se(a) = (seNum(a) + seA) / (seDen(a) + seA + seB)
         sp(a) = (spNum(a) + spA) / (spDen(a) + spA + spB)
       }

@@ -1,8 +1,6 @@
 package repro.core
 
-import repro.data.{AnswerLog, ObjectView}
-
-import scala.collection.mutable
+import repro.data.{AnswerLog, ClaimTable, ObjectView}
 
 /** Reference implementation of the TDH EM algorithm (§3.2, Figure 4).
   *
@@ -13,9 +11,9 @@ import scala.collection.mutable
   * [[TdhLocal.Kernel]] on object partitions and is tested for equivalence
   * against this implementation.
   *
-  * Each run first compiles its inputs into dense arrays: sources and workers
-  * get dense ids in order of first appearance, every record and answer is
-  * stored by that id, and μ, φ, ψ and their accumulators are allocated once.
+  * Each run first compiles its inputs into a [[ClaimTable]] (dense source and
+  * worker ids, flat per-object claim arrays); μ, φ, ψ and their accumulators
+  * are arrays allocated once.
   * An EM map evaluation then allocates nothing per object or per claim.
   */
 object TdhLocal {
@@ -39,8 +37,8 @@ object TdhLocal {
     */
   private[core] def em(views: Array[ObjectView], answers: AnswerLog, hyper: TdhHyper, init: Option[TdhResult],
       accelerate: Boolean): (TdhResult, EmDriver.Outcome) = {
-    val layout = compile(views, answers)
-    val kernel = new Kernel(views, layout, hyper)
+    val claims = ClaimTable(views, answers)
+    val kernel = new Kernel(claims, hyper)
     val mu0 = init match {
       case Some(prev) =>
         require(prev.mu.length == views.length && views.indices.forall(o => prev.mu(o).length == views(o).nCands),
@@ -49,73 +47,14 @@ object TdhLocal {
       case None => Array.tabulate(views.length)(kernel.initMu)
     }
     val mu = new LocalMu(kernel, views, mu0)
-    val out = EmDriver.run(mu, hyper, layout.claimsPerSource, layout.claimsPerWorker,
-      EmDriver.startTrust(layout.srcIds, hyper.alphaArr, init.map(_.phi)),
-      EmDriver.startTrust(layout.wkrIds, hyper.betaArr, init.map(_.psi)), hyper.maxIters, accelerate)
+    val out = EmDriver.run(mu, hyper, claims.claimsPerSource, claims.claimsPerWorker,
+      EmDriver.startTrust(claims.srcIds, hyper.alphaArr, init.map(_.phi)),
+      EmDriver.startTrust(claims.wkrIds, hyper.betaArr, init.map(_.psi)), hyper.maxIters, accelerate)
     val muOut = mu.mu(out.slot)
     val truthIdx = Array.tabulate(views.length)(o => TdhProb.argmaxTruth(views(o), muOut(o)))
     val res = TdhResult(muOut, mu.num(out.slot), Array.tabulate(views.length)(kernel.den),
-      layout.srcIds.indices.map(i => layout.srcIds(i) -> out.phi(i)).toMap,
-      layout.wkrIds.indices.map(i => layout.wkrIds(i) -> out.psi(i)).toMap,
-      truthIdx, out.evals, out.delta, out.converged, out.objective)
+      claims.srcIds.zip(out.phi).toMap, claims.wkrIds.zip(out.psi).toMap, truthIdx, out.evals, out.delta, out.converged, out.objective)
     (res, out)
-  }
-
-  /** The claims of one run by dense actor id. Object o's records are
-    * recSrc[recOff(o), recOff(o + 1)) (candidate indices stay in its view),
-    * its answers ansWkr/ansVal[ansOff(o), ansOff(o + 1)); srcIds/wkrIds map a
-    * dense id back to the source/worker id.
-    */
-  private[core] final class Layout(
-      val srcIds: Array[Int],
-      val wkrIds: Array[Int],
-      val recOff: Array[Int],
-      val recSrc: Array[Int],
-      val ansOff: Array[Int],
-      val ansWkr: Array[Int],
-      val ansVal: Array[Int],
-  ) extends Serializable {
-    /** Records per dense source id (the Eq. (10) denominator count). */
-    def claimsPerSource: Array[Int] = countIds(recSrc, srcIds.length)
-    /** Answers per dense worker id (the Eq. (11) denominator count). */
-    def claimsPerWorker: Array[Int] = countIds(ansWkr, wkrIds.length)
-    private def countIds(ids: Array[Int], n: Int): Array[Int] = {
-      val c = new Array[Int](n)
-      ids.foreach(i => c(i) += 1)
-      c
-    }
-  }
-
-  /** Dense ids in order of first appearance, records before answers. */
-  private[core] def compile(views: Array[ObjectView], answers: AnswerLog): Layout = {
-    val nObj = views.length
-    val srcDense = mutable.HashMap.empty[Int, Int]
-    val wkrDense = mutable.HashMap.empty[Int, Int]
-    val srcIds = mutable.ArrayBuffer.empty[Int]
-    val wkrIds = mutable.ArrayBuffer.empty[Int]
-    val recOff = new Array[Int](nObj + 1)
-    val ansOff = new Array[Int](nObj + 1)
-    val recSrc = new Array[Int](views.iterator.map(_.nRecords).sum)
-    val ansWkr = mutable.ArrayBuffer.empty[Int]
-    val ansVal = mutable.ArrayBuffer.empty[Int]
-    var o = 0
-    while (o < nObj) {
-      val view = views(o)
-      var r = 0
-      while (r < view.nRecords) {
-        val s = view.srcIds(r)
-        recSrc(recOff(o) + r) = srcDense.getOrElseUpdate(s, { srcIds += s; srcIds.size - 1 })
-        r += 1
-      }
-      recOff(o + 1) = recOff(o) + view.nRecords
-      answers.answersFor(o).foreach { case (w, u) =>
-        ansWkr += wkrDense.getOrElseUpdate(w, { wkrIds += w; wkrIds.size - 1 })
-        ansVal += u
-      }
-      ansOff(o + 1) = ansWkr.size
-      o += 1
-    }
-    new Layout(srcIds.toArray, wkrIds.toArray, recOff, recSrc, ansOff, ansWkr.toArray, ansVal.toArray)
   }
 
   /** μ of a local run: [[EmDriver.Slots]] arrays per object, and the Eq. (9)
@@ -143,14 +82,14 @@ object TdhLocal {
     }
   }
 
-  /** The per-object body of an EM iteration over a compiled [[Layout]]: object
+  /** The per-object body of an EM iteration over a [[ClaimTable]]: object
     * o's E-step, then its Eq. (9) update of μ_o. [[TdhLocal]] and [[TdhSpark]]
     * both run EM through it. Updating μ_o right after o's E-step is exact:
     * f-sums of o depend only on μ_o and on φ/ψ, which an iteration holds fixed.
     * `p`, `f` and `logPost` are scratch, so an instance serves one thread.
     */
-  private[core] final class Kernel(views: Array[ObjectView], layout: Layout, hyper: TdhHyper) {
-    import layout._
+  private[core] final class Kernel(claims: ClaimTable, hyper: TdhHyper) {
+    import claims._
     private val gm1 = hyper.gamma - 1.0
     private val maxCands = views.iterator.map(_.nCands).maxOption.getOrElse(0)
     private val p = new Array[Double](maxCands)
@@ -188,12 +127,8 @@ object TdhLocal {
 
     /** μ⁰_o: the smoothed vote share over o's records and answers. */
     def initMu(o: Int): Array[Double] = {
-      val v = views(o)
-      val ansCount = new Array[Int](v.nCands)
-      var a = ansOff(o)
-      while (a < ansOff(o + 1)) { ansCount(ansVal(a)) += 1; a += 1 }
       val d = den(o)
-      Array.tabulate(v.nCands)(j => (v.srcCount(j) + ansCount(j) + gm1) / d)
+      votes(o).map(c => (c + gm1) / d)
     }
 
     /** Object o's E-step (f and g of Figure 4) under `muIn`, φ and ψ, adding

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.{HashPartitioner, SparkContext}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.data.{AnswerLog, ObjectView, TdDataset}
+import repro.data.{AnswerLog, ClaimTable, ObjectView, TdDataset}
 import repro.hier.Hierarchy
 
 /** TDH inference (§3) as object-partitioned EM on Spark — the distributed
@@ -46,21 +46,21 @@ object TdhSpark {
     *                 object, as an error message
     */
   private final class Part(
-      val views: Array[ObjectView],
-      val layout: TdhLocal.Layout,
+      val claims: ClaimTable,
       val mu: Array[Array[Array[Double]]],
       val phiAcc: Array[Array[Double]],
       val psiAcc: Array[Array[Double]],
       val stats: EvalStats,
       val rejected: Option[String],
   ) extends Serializable {
+    def views: Array[ObjectView] = claims.views
 
     /** Map evaluation `e` under φ/ψ indexed by global actor id; srcIdx/wkrIdx
       * map this partition's actor ids to global ones.
       */
     def next(e: MapEval, phi: Array[Array[Double]], psi: Array[Array[Double]],
         srcIdx: Array[Int], wkrIdx: Array[Int], hyper: TdhHyper): Part = {
-      val kernel = new TdhLocal.Kernel(views, layout, hyper)
+      val kernel = new TdhLocal.Kernel(claims, hyper)
       def fresh = views.map(v => new Array[Double](v.nCands))
       val nextMu = mu.clone()
       nextMu(e.out) = fresh
@@ -70,7 +70,7 @@ object TdhSpark {
       val scratch = new Array[Double](views.iterator.map(_.nCands).maxOption.getOrElse(0))
       val num = Array.fill(views.length)(scratch)
       val st = kernel.eval(e, mu, nextMu, num, srcIdx.map(phi), wkrIdx.map(psi), nextPhiAcc, nextPsiAcc)
-      new Part(views, layout, nextMu, nextPhiAcc, nextPsiAcc, st, rejected)
+      new Part(claims, nextMu, nextPhiAcc, nextPsiAcc, st, rejected)
     }
   }
 
@@ -98,11 +98,11 @@ object TdhSpark {
         if (j < 0) reject(views(i).obj, w, v, "the value is not a candidate of the object")
         else log.add(i, w, j)
       }
-      val layout = TdhLocal.compile(views, log)
-      val kernel = new TdhLocal.Kernel(views, layout, hyper)
+      val claims = ClaimTable(views, log)
+      val kernel = new TdhLocal.Kernel(claims, hyper)
       val mu = new Array[Array[Array[Double]]](EmDriver.Slots)
       mu(0) = Array.tabulate(views.length)(kernel.initMu)
-      new Part(views, layout, mu, Array.empty, Array.empty, null, rejected)
+      new Part(claims, mu, Array.empty, Array.empty, null, rejected)
     }
   }
 
@@ -170,7 +170,7 @@ object TdhSpark {
     // Ingestion: every partition's actors and claim counts, and the first
     // answer that does not fit its object.
     val ingested = state.map(p =>
-      (p.layout.srcIds, p.layout.claimsPerSource, p.layout.wkrIds, p.layout.claimsPerWorker, p.rejected)).collect()
+      (p.claims.srcIds, p.claims.claimsPerSource, p.claims.wkrIds, p.claims.claimsPerWorker, p.rejected)).collect()
     ingested.flatMap(_._5).headOption.foreach(msg => throw new IllegalArgumentException(msg))
     val srcIds = ingested.flatMap(_._1).distinct.sorted
     val wkrIds = ingested.flatMap(_._3).distinct.sorted

@@ -159,3 +159,114 @@ final class AnswerLog(numObjects: Int) {
       buf.map { case (w, j) => Answer(o, w, views(o).cands(j)) }
     }.toVector
 }
+
+/** The claims of one inference run, compiled once and read by every inference
+  * algorithm. Sources and workers get dense ids in order of first appearance,
+  * records before answers. Object o's records are recSrc[recOff(o),
+  * recOff(o + 1)) (their candidate indices are views(o).srcVals), its answers
+  * ansWkr/ansVal[ansOff(o), ansOff(o + 1)); srcIds/wkrIds map a dense id back
+  * to the source/worker id.
+  *
+  * Algorithms that treat sources and workers alike index one actor space:
+  * dense source s is actor s, dense worker w is actor nSrc + w.
+  */
+final class ClaimTable private (
+    val views: Array[ObjectView],
+    val srcIds: Array[Int],
+    val wkrIds: Array[Int],
+    val recOff: Array[Int],
+    val recSrc: Array[Int],
+    val ansOff: Array[Int],
+    val ansWkr: Array[Int],
+    val ansVal: Array[Int],
+) extends Serializable {
+  val nSrc: Int = srcIds.length
+  val nActors: Int = nSrc + wkrIds.length
+
+  /** Records per dense source id (the Eq. (10) denominator count). */
+  def claimsPerSource: Array[Int] = countIds(recSrc, nSrc)
+  /** Answers per dense worker id (the Eq. (11) denominator count). */
+  def claimsPerWorker: Array[Int] = countIds(ansWkr, wkrIds.length)
+  /** Claims per actor. */
+  def claimsPerActor: Array[Int] = claimsPerSource ++ claimsPerWorker
+  private def countIds(ids: Array[Int], n: Int): Array[Int] = {
+    val c = new Array[Int](n)
+    ids.foreach(i => c(i) += 1)
+    c
+  }
+
+  /** Whether `actor` is a worker. */
+  def isWorker(actor: Int): Boolean = actor >= nSrc
+  /** The source or worker id of `actor`. */
+  def actorId(actor: Int): Int = if (actor < nSrc) srcIds(actor) else wkrIds(actor - nSrc)
+
+  /** Claims on object o: its records, then its answers. */
+  def nClaims(o: Int): Int = recOff(o + 1) - recOff(o) + ansOff(o + 1) - ansOff(o)
+  /** Actor of o's i-th claim. */
+  def actor(o: Int, i: Int): Int = {
+    val nRec = recOff(o + 1) - recOff(o)
+    if (i < nRec) recSrc(recOff(o) + i) else nSrc + ansWkr(ansOff(o) + i - nRec)
+  }
+  /** Candidate index of o's i-th claim. */
+  def value(o: Int, i: Int): Int = {
+    val nRec = recOff(o + 1) - recOff(o)
+    if (i < nRec) views(o).srcVals(i) else ansVal(ansOff(o) + i - nRec)
+  }
+
+  /** f(actor, candIdx) for each claim on object o, records before answers. */
+  def foreachClaim(o: Int)(f: (Int, Int) => Unit): Unit = {
+    val vals = views(o).srcVals
+    var r = recOff(o)
+    while (r < recOff(o + 1)) { f(recSrc(r), vals(r - recOff(o))); r += 1 }
+    var a = ansOff(o)
+    while (a < ansOff(o + 1)) { f(nSrc + ansWkr(a), ansVal(a)); a += 1 }
+  }
+
+  /** Votes per candidate of object o: its records and answers on it. */
+  def votes(o: Int): Array[Int] = {
+    val c = views(o).srcCount.clone()
+    var a = ansOff(o)
+    while (a < ansOff(o + 1)) { c(ansVal(a)) += 1; a += 1 }
+    c
+  }
+
+  /** A parameter of each worker actor, by worker id. */
+  def byWorker(param: Int => Double): Map[Int, Double] = wkrIds.indices.map(w => wkrIds(w) -> param(nSrc + w)).toMap
+}
+
+object ClaimTable {
+
+  /** Compile `views` and `answers`. This is a method, not constructor code:
+    * in a constructor the JIT left the loop slow.
+    */
+  def apply(views: Array[ObjectView], answers: AnswerLog): ClaimTable = {
+    val nObj = views.length
+    val srcDense = mutable.HashMap.empty[Int, Int]
+    val wkrDense = mutable.HashMap.empty[Int, Int]
+    val srcIds = mutable.ArrayBuffer.empty[Int]
+    val wkrIds = mutable.ArrayBuffer.empty[Int]
+    val recOff = new Array[Int](nObj + 1)
+    val ansOff = new Array[Int](nObj + 1)
+    val recSrc = new Array[Int](views.iterator.map(_.nRecords).sum)
+    val ansWkr = mutable.ArrayBuffer.empty[Int]
+    val ansVal = mutable.ArrayBuffer.empty[Int]
+    var o = 0
+    while (o < nObj) {
+      val view = views(o)
+      var r = 0
+      while (r < view.nRecords) {
+        val s = view.srcIds(r)
+        recSrc(recOff(o) + r) = srcDense.getOrElseUpdate(s, { srcIds += s; srcIds.size - 1 })
+        r += 1
+      }
+      recOff(o + 1) = recOff(o) + view.nRecords
+      answers.answersFor(o).foreach { case (w, u) =>
+        ansWkr += wkrDense.getOrElseUpdate(w, { wkrIds += w; wkrIds.size - 1 })
+        ansVal += u
+      }
+      ansOff(o + 1) = ansWkr.size
+      o += 1
+    }
+    new ClaimTable(views, srcIds.toArray, wkrIds.toArray, recOff, recSrc, ansOff, ansWkr.toArray, ansVal.toArray)
+  }
+}

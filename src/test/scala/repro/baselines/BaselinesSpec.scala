@@ -244,10 +244,10 @@ class BaselinesSpec extends AnyFunSuite {
     */
   private val baselineGolden: Map[(String, String, String), Long] = Map(
     "ACCU" -> Seq(-8805072157363092448L, -6309151145392194918L, 8554365735632247751L, -5850103913595910210L),
-    "ASUMS" -> Seq(4041272992219579317L, 6166558197922950532L, -5659290290702570455L, 4041395793735114211L),
+    "ASUMS" -> Seq(-5312974351809247488L, 3199416770126658983L, 4345695034385515267L, -1819769591059925539L),
     "CRH" -> Seq(4170948655225647595L, 2270355356558021121L, -9097273473970486172L, -405945205899519856L),
     "DART" -> Seq(-1030874324726443178L, -1030874324726443178L, 2924505010480779157L, 2924505010480779157L),
-    "DOCS" -> Seq(-7242716547464182125L, -6531787784261248779L, 6924522226372606235L, -574412013533604469L),
+    "DOCS" -> Seq(-7242716547464182125L, 6130798216338639486L, 6924522226372606235L, -3600983949678549310L),
     "LCA" -> Seq(1961702857383301044L, 2583604921905513750L, -3662820692387463421L, 8204838175351087508L),
     "LFC" -> Seq(-6621199513121627394L, -6985163970330219033L, -8621982383887422796L, 1352490043337781717L),
     "LFC-MT" -> Seq(1242410054479286243L, 1242410054479286243L, -3420787302594418003L, -3420787302594418003L),
