@@ -17,6 +17,8 @@ import repro.data.{AnswerLog, ClaimTable, ObjectView}
   *                  algorithm exposes them (TDH); EAI requires them
   * @param tdh       the TDH run behind this state, if any: the next crowd
   *                  round's EM starts from it
+  * @param iterations EM iterations (TDH: map evaluations); 0 if not counted
+  * @param converged whether that EM stopped at its tolerance
   */
 final case class InferState(
     views: Array[ObjectView],
@@ -27,6 +29,8 @@ final case class InferState(
     muNum: Option[Array[Array[Double]]] = None,
     muDen: Option[Array[Double]] = None,
     tdh: Option[TdhResult] = None,
+    iterations: Int = 0,
+    converged: Boolean = false,
 ) {
   def truthValues: Array[Int] = Array.tabulate(truthIdx.length)(o => views(o).cands(truthIdx(o)))
 }
@@ -65,9 +69,11 @@ object TruthInference {
     * returns max_v |Δμ_o(v)|.
     */
   private[baselines] def softmaxInto(logScore: Array[Double], mu: Array[Double]): Double = {
-    val m = logScore.max
+    var m = logScore(0) // max under Ordering.Double's total order, without boxing
+    var v = 1
+    while (v < logScore.length) { if (java.lang.Double.compare(m, logScore(v)) < 0) m = logScore(v); v += 1 }
     var z = 0.0
-    var v = 0
+    v = 0
     while (v < logScore.length) { logScore(v) = math.exp(logScore(v) - m); z += logScore(v); v += 1 }
     var delta = 0.0
     v = 0
@@ -78,6 +84,58 @@ object TruthInference {
       v += 1
     }
     delta
+  }
+}
+
+/** The EM loop of the softmax baselines (LCA, DOCS, MDC, LFC), which differ
+  * only in their worker model (Zheng et al., PVLDB 2017). From a uniform μ,
+  * each iteration sets μ_o ∝ Π_claims P(claim | truth) object by object and
+  * feeds o's claims under the new μ_o to the model's statistics, then runs
+  * the model's M-step. It stops after [[BaselineEm.MaxIters]] iterations or
+  * once an iteration moves μ by at most [[BaselineEm.Tol]], and reports which.
+  */
+abstract class BaselineEm extends TruthInference {
+  /** This algorithm's worker model over one run's claims. */
+  private[baselines] def model(claims: ClaimTable): BaselineEm.Model
+
+  def infer(views: Array[ObjectView], answers: AnswerLog): InferState = {
+    val claims = ClaimTable(views, answers)
+    val m = model(claims)
+    val mu = views.map(view => Array.fill(view.nCands)(1.0 / view.nCands))
+    var iter = 0
+    var delta = Double.MaxValue
+    while (iter < BaselineEm.MaxIters && delta > BaselineEm.Tol) {
+      delta = 0.0
+      for (o <- views.indices) {
+        val logMu = new Array[Double](views(o).nCands)
+        claims.foreachClaim(o)((a, u) => m.addLogLik(o, a, u, logMu))
+        delta = math.max(delta, TruthInference.softmaxInto(logMu, mu(o)))
+        claims.foreachClaim(o)((a, u) => m.collect(o, a, u, mu(o)))
+      }
+      m.mStep()
+      iter += 1
+    }
+
+    val truth = Array.tabulate(views.length)(o => TdhProb.argmaxTruth(views(o), mu(o)))
+    TruthInference.uniformState(views, mu, truth, m.workerAcc).copy(iterations = iter, converged = delta <= BaselineEm.Tol)
+  }
+}
+
+object BaselineEm {
+  val MaxIters = 50
+  val Tol = 1e-6
+
+  /** A worker model over one run's claims. Its loops over candidates stay in
+    * the model, so each is compiled for one model class.
+    */
+  trait Model {
+    /** Adds log P(actor a claims u | truth v) to logMu(v) for each candidate v of object o. */
+    def addLogLik(o: Int, a: Int, u: Int, logMu: Array[Double]): Unit
+    /** Accumulates the statistics of actor a's claim u on object o under μ_o. */
+    def collect(o: Int, a: Int, u: Int, mu: Array[Double]): Unit
+    /** Re-estimates the parameters from the statistics, then clears them. */
+    def mStep(): Unit
+    def workerAcc: Map[Int, Double]
   }
 }
 
@@ -104,6 +162,8 @@ final class TdhInference(hyper: TdhHyper = TdhHyper()) extends TruthInference {
       Some(res.muNum),
       Some(res.muDen),
       Some(res),
+      res.iterations,
+      res.converged,
     )
   }
 }

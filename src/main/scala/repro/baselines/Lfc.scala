@@ -1,6 +1,5 @@
 package repro.baselines
 
-import repro.core.TdhProb
 import repro.data.{AnswerLog, ClaimTable, ObjectView}
 
 /** LFC — Learning From Crowds (Raykar et al., JMLR 2010), single-truth form.
@@ -10,49 +9,37 @@ import repro.data.{AnswerLog, ClaimTable, ObjectView}
   * side is the max candidate-set size, which is why the paper notes LFC is
   * slow when |V_o| grows (§5.4 execution times).
   */
-final class LfcInference extends TruthInference {
+final class LfcInference extends BaselineEm {
   val name = "LFC"
-  private val MaxIters = 50
 
-  def infer(views: Array[ObjectView], answers: AnswerLog): InferState = {
-    val claims = ClaimTable(views, answers)
-    val nObj = views.length
-    val k = views.map(_.nCands).max
+  private[baselines] def model(claims: ClaimTable): BaselineEm.Model = {
+    val k = claims.views.map(_.nCands).max
     // init: diagonally dominant confusion matrices, by actor
     val pi = Array.fill(claims.nActors)(Array.tabulate(k, k)((j, l) => if (j == l) 0.7 else 0.3 / math.max(1, k - 1)))
+    val acc = Array.fill(claims.nActors)(Array.ofDim[Double](k, k))
 
-    val mu = Array.tabulate(nObj)(o => Array.fill(views(o).nCands)(1.0 / views(o).nCands))
-    var iter = 0
-    var delta = Double.MaxValue
-    while (iter < MaxIters && delta > 1e-6) {
-      val acc = Array.fill(claims.nActors)(Array.ofDim[Double](k, k))
-      delta = 0.0
-      for (o <- 0 until nObj) {
-        val n = views(o).nCands
-        val logMu = new Array[Double](n)
-        claims.foreachClaim(o) { (a, u) =>
-          val m = pi(a)
-          var j = 0
-          while (j < n) { logMu(j) += math.log(math.max(m(j)(u), 1e-12)); j += 1 }
-        }
-        delta = math.max(delta, TruthInference.softmaxInto(logMu, mu(o)))
-        claims.foreachClaim(o) { (a, u) =>
-          val m = acc(a)
-          var jj = 0
-          while (jj < n) { m(jj)(u) += mu(o)(jj); jj += 1 }
-        }
+    new BaselineEm.Model {
+      def addLogLik(o: Int, a: Int, u: Int, logMu: Array[Double]): Unit = {
+        val m = pi(a)
+        var j = 0
+        while (j < logMu.length) { logMu(j) += math.log(math.max(m(j)(u), 1e-12)); j += 1 }
       }
-      for (a <- pi.indices) {
+
+      def collect(o: Int, a: Int, u: Int, mu: Array[Double]): Unit = {
         val m = acc(a)
-        val rowSum = m.map(_.sum)
-        pi(a) = Array.tabulate(k, k)((j, l) => (m(j)(l) + 0.1) / (rowSum(j) + 0.1 * k)) // Laplace-smoothed rows
+        var j = 0
+        while (j < mu.length) { m(j)(u) += mu(j); j += 1 }
       }
-      iter += 1
-    }
 
-    val truth = Array.tabulate(nObj)(o => TdhProb.argmaxTruth(views(o), mu(o)))
-    val workerAcc = claims.byWorker(a => (0 until k).map(j => pi(a)(j)(j)).sum / k)
-    TruthInference.uniformState(views, mu, truth, workerAcc)
+      def mStep(): Unit = for (a <- pi.indices; j <- 0 until k) { // Laplace-smoothed rows
+        val row = acc(a)(j)
+        val den = row.sum + 0.1 * k
+        for (l <- 0 until k) pi(a)(j)(l) = (row(l) + 0.1) / den
+        java.util.Arrays.fill(row, 0.0)
+      }
+
+      def workerAcc: Map[Int, Double] = claims.byWorker(a => (0 until k).map(j => pi(a)(j)(j)).sum / k)
+    }
   }
 }
 
@@ -71,8 +58,6 @@ class BinaryPerValueEm(
     seA: Double, seB: Double,
     spA: Double, spB: Double,
 ) {
-  private val MaxIters = 50
-
   /** Posterior P(t_{o,v} = 1) for every object and candidate. */
   def posteriors(views: Array[ObjectView], answers: AnswerLog): Array[Array[Double]] = {
     val claims = ClaimTable(views, answers)
@@ -83,7 +68,7 @@ class BinaryPerValueEm(
     val post = Array.tabulate(nObj)(o => Array.fill(views(o).nCands)(priorTrue))
     var iter = 0
     var delta = Double.MaxValue
-    while (iter < MaxIters && delta > 1e-6) {
+    while (iter < BaselineEm.MaxIters && delta > BaselineEm.Tol) {
       delta = 0.0
       val seNum, seDen, spNum, spDen = new Array[Double](claims.nActors)
       for (o <- 0 until nObj) {

@@ -91,14 +91,6 @@ object TdhProb {
     }
   }
 
-  /** Marginal P(v_o^w = u | ψ_w, μ_o) — Eq. (6). */
-  def pAnswerMarginal(view: ObjectView, psi: Array[Double], mu: Array[Double], uIdx: Int): Double = {
-    var z = 0.0
-    var v = 0
-    while (v < view.nCands) { z += pWkr(view, psi, uIdx, v) * mu(v); v += 1 }
-    z
-  }
-
   /** Truth pick: argmax μ with ties broken toward the more specific candidate
     * (deeper node), then the smaller candidate index — Eq. (12).
     */

@@ -36,8 +36,7 @@ object SimWorkers {
 
 /** One round's quality snapshot (round 0 = before any crowdsourcing).
   *
-  * @param inferIterations EM map evaluations of the round's TDH inference
-  *                        (0 for other algorithms)
+  * @param inferIterations EM iterations of the round's inference
   * @param converged       whether that EM reached its tolerance
   */
 final case class RoundTrace(
@@ -90,8 +89,8 @@ object CrowdLoop {
         Metrics.avgDistance(ds, est),
         tInfer,
         tAssign,
-        state.tdh.fold(0)(_.iterations),
-        state.tdh.exists(_.converged),
+        state.iterations,
+        state.converged,
       )
     }
     (traces.result(), state)

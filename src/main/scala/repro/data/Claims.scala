@@ -115,6 +115,18 @@ final case class TdDataset(
     records: Vector[Record],
     gold: Array[Int],
 ) {
+  require(gold.length == numObjects, s"gold has ${gold.length} entries for $numObjects objects")
+  locally { // each record names a known object and source and a non-root node; each object has a record
+    val perObj = new Array[Int](numObjects)
+    for (r <- records) {
+      require(r.obj >= 0 && r.obj < numObjects, s"$r: object ${r.obj} is not in [0, $numObjects)")
+      require(r.source >= 0 && r.source < numSources, s"$r: source ${r.source} is not in [0, $numSources)")
+      require(r.value > hierarchy.root && r.value < hierarchy.size, s"$r: value ${r.value} is not a non-root hierarchy node")
+      perObj(r.obj) += 1
+    }
+    for (o <- 0 until numObjects) require(perObj(o) > 0, s"object $o has no records")
+  }
+
   /** Compiled per-object views, index = object id. */
   lazy val views: Array[ObjectView] = TdDataset.compile(hierarchy, numObjects, records)
 
@@ -150,6 +162,8 @@ final class AnswerLog(numObjects: Int) {
 
   def add(obj: Int, worker: Int, candIdx: Int): Unit = byObj(obj) += ((worker, candIdx))
   def answersFor(obj: Int): IndexedSeq[(Int, Int)] = byObj(obj).toIndexedSeq
+  /** f(worker, candIdx) for each answer on obj, in the order they were added. */
+  def foreachAnswer(obj: Int)(f: (Int, Int) => Unit): Unit = byObj(obj).foreach(a => f(a._1, a._2))
   def hasAnswered(worker: Int, obj: Int): Boolean = byObj(obj).exists(_._1 == worker)
   def count(obj: Int): Int = byObj(obj).size
   def totalAnswers: Int = byObj.map(_.size).sum
@@ -260,7 +274,7 @@ object ClaimTable {
         r += 1
       }
       recOff(o + 1) = recOff(o) + view.nRecords
-      answers.answersFor(o).foreach { case (w, u) =>
+      answers.foreachAnswer(o) { (w, u) =>
         ansWkr += wkrDense.getOrElseUpdate(w, { wkrIds += w; wkrIds.size - 1 })
         ansVal += u
       }

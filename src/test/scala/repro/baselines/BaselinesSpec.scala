@@ -3,7 +3,7 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
 import repro.Fixtures._
-import repro.data.{AnswerLog, TdDataset, TruthDataGen}
+import repro.data.{AnswerLog, ClaimTable, ObjectView, TdDataset, TruthDataGen}
 import repro.eval.Metrics
 
 class BaselinesSpec extends AnyFunSuite {
@@ -193,6 +193,59 @@ class BaselinesSpec extends AnyFunSuite {
       val st = alg.infer(flat.views, log)
       assert(st.truthValues(1) == Manchester, s"${alg.name} ignored crowd answers")
     }
+  }
+
+  /** Wraps a worker model and records each iteration's max |Δμ|, read from
+    * the μ_o the loop hands to `collect`.
+    */
+  private final class DeltaRecorder(inner: BaselineEm.Model, views: Array[ObjectView])
+      extends BaselineEm.Model {
+    private val prev = views.map(v => Array.fill(v.nCands)(1.0 / v.nCands))
+    private var delta = 0.0
+    var deltas = Vector.empty[Double]
+    def addLogLik(o: Int, a: Int, u: Int, logMu: Array[Double]): Unit = inner.addLogLik(o, a, u, logMu)
+    def collect(o: Int, a: Int, u: Int, mu: Array[Double]): Unit = {
+      for (v <- mu.indices) delta = math.max(delta, math.abs(mu(v) - prev(o)(v)))
+      mu.copyToArray(prev(o))
+      inner.collect(o, a, u, mu)
+    }
+    def mStep(): Unit = { deltas :+= delta; delta = 0.0; inner.mStep() }
+    def workerAcc: Map[Int, Double] = inner.workerAcc
+  }
+
+  test("LCA, DOCS, MDC and LFC stop at the first iteration with max |Δμ| <= tol, within 50, and report it") {
+    // On the Table 1 world the first iteration leaves μ uniform; the generated data takes more.
+    for (ds <- Seq(Fixtures.table1World(), small);
+         alg <- Seq(new LcaInference(), new DocsInference(ds.hierarchy), new MdcInference(), new LfcInference())) {
+      val st = alg.infer(ds.views, empty(ds))
+      var rec: DeltaRecorder = null
+      val recorded = new BaselineEm {
+        val name = alg.name
+        private[baselines] def model(c: ClaimTable) = { rec = new DeltaRecorder(alg.model(c), ds.views); rec }
+      }.infer(ds.views, empty(ds))
+      assert(recorded.mu.indices.forall(o => recorded.mu(o).sameElements(st.mu(o))), alg.name)
+      assert(st.iterations >= 1 && st.iterations <= BaselineEm.MaxIters && st.iterations == rec.deltas.size,
+        s"${alg.name}: ${st.iterations} iterations, deltas ${rec.deltas}")
+      assert(rec.deltas.init.forall(_ > BaselineEm.Tol), s"${alg.name} ran past convergence: ${rec.deltas}")
+      assert(st.converged == (rec.deltas.last <= BaselineEm.Tol), s"${alg.name}: ${rec.deltas.last}")
+    }
+  }
+
+  test("the baseline EM loop stops at 50 iterations, unconverged, when μ keeps moving") {
+    val ds = Fixtures.flatWorld()
+    var iter = 0
+    val flip = new BaselineEm.Model { // all weight on candidate 0, then on the last one, and so on
+      def addLogLik(o: Int, a: Int, u: Int, logMu: Array[Double]): Unit =
+        logMu(if (iter % 2 == 0) 0 else logMu.length - 1) += 10.0
+      def collect(o: Int, a: Int, u: Int, mu: Array[Double]): Unit = ()
+      def mStep(): Unit = iter += 1
+      def workerAcc: Map[Int, Double] = Map.empty
+    }
+    val st = new BaselineEm {
+      val name = "flip"
+      private[baselines] def model(c: ClaimTable) = flip
+    }.infer(ds.views, empty(ds))
+    assert(st.iterations == BaselineEm.MaxIters && iter == BaselineEm.MaxIters && !st.converged)
   }
 
   // 64-bit digests of the exact bits of LFC's μ and truths on the calibrated

@@ -2,7 +2,7 @@ package repro.crowd
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.assign.{EaiAssigner, MaxEntropyAssigner, QascaAssigner}
-import repro.baselines.{TdhInference, VoteInference}
+import repro.baselines.{LcaInference, TdhInference, VoteInference}
 import repro.data.TruthDataGen
 
 class CrowdLoopSpec extends AnyFunSuite {
@@ -62,6 +62,12 @@ class CrowdLoopSpec extends AnyFunSuite {
       assert(t.genAccuracy >= t.accuracy - 1e-9)
       assert(t.avgDistance >= 0)
     }
+  }
+
+  test("LCA+ME rounds report the EM iterations of every round") {
+    val workers = SimWorkers.uniform(10, 0.75, seed = 7)
+    val (trace, _) = CrowdLoop.run(ds, new LcaInference(), new MaxEntropyAssigner(), workers, rounds = 2)
+    assert(trace.length == 3 && trace.forall(_.inferIterations > 0), trace)
   }
 
   /** Two 3-round TDH+EAI sessions on BirthPlaces, times zeroed. */

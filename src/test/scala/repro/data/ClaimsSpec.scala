@@ -66,6 +66,39 @@ class ClaimsSpec extends AnyFunSuite {
     }
   }
 
+  /** The message of the IllegalArgumentException a dataset of `recs` over
+    * `numObjects` objects and 3 sources throws at construction.
+    */
+  private def rejected(numObjects: Int, recs: Vector[Record], gold: Array[Int]): String =
+    intercept[IllegalArgumentException](TdDataset(Fixtures.geo, numObjects, 3, recs, gold)).getMessage
+
+  test("a dataset rejects a record whose value is not a hierarchy node") {
+    val msg = rejected(1, Vector(Record(0, 0, London), Record(0, 1, 9)), Array(London))
+    assert(msg.contains("Record(0,1,9)"), msg)
+  }
+
+  test("a dataset rejects a record that claims the hierarchy root") {
+    val msg = rejected(1, Vector(Record(0, 0, London), Record(0, 2, Fixtures.geo.root)), Array(London))
+    assert(msg.contains("Record(0,2,0)") && msg.contains("root"), msg)
+  }
+
+  test("a dataset rejects object and source ids out of range") {
+    val obj = rejected(1, Vector(Record(0, 0, London), Record(1, 0, London)), Array(London))
+    assert(obj.contains("Record(1,0,7)") && obj.contains("object 1"), obj)
+    val src = rejected(1, Vector(Record(0, 3, London)), Array(London))
+    assert(src.contains("Record(0,3,7)") && src.contains("source 3"), src)
+  }
+
+  test("a dataset rejects an object with no records") {
+    val msg = rejected(3, Vector(Record(0, 0, London), Record(2, 0, LA)), Array(London, London, LA))
+    assert(msg.contains("object 1 has no records"), msg)
+  }
+
+  test("a dataset rejects a gold array whose length is not the object count") {
+    val msg = rejected(2, Vector(Record(0, 0, London), Record(1, 0, LA)), Array(London))
+    assert(msg.contains("gold has 1 entries for 2 objects"), msg)
+  }
+
   test("mappedGold keeps the gold value when it is a candidate") {
     assert(ds.mappedGold(0) == LibertyIsland)
     assert(ds.mappedGold(1) == London)
