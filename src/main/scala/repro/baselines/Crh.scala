@@ -9,6 +9,8 @@ import repro.data.{AnswerLog, ClaimTable, ObjectView}
   * source weights and (b) weights w_s = −log(normalized loss of s). For
   * categorical data the loss is 0-1 against the current truth estimate.
   * (The numeric instantiation lives in [[repro.numeric.NumericAlgorithms]].)
+  * It runs a fixed number of rounds and reports whether the last one moved μ
+  * by at most [[BaselineEm.Tol]].
   */
 final class CrhInference extends TruthInference {
   val name = "CRH"
@@ -21,20 +23,33 @@ final class CrhInference extends TruthInference {
 
     val mu = Array.tabulate(nObj)(o => new Array[Double](views(o).nCands))
     val truth = new Array[Int](nObj)
+    var delta = Double.MaxValue
     for (_ <- 1 to Iterations) {
       // truths from weighted vote
+      delta = 0.0
       for (o <- 0 until nObj) {
         val score = new Array[Double](views(o).nCands)
         claims.foreachClaim(o)((a, u) => score(u) += weights(a))
-        val z = math.max(1e-12, score.sum)
+        var sum = 0.0
         var v = 0
-        while (v < score.length) { mu(o)(v) = score(v) / z; v += 1 }
+        while (v < score.length) { sum += score(v); v += 1 }
+        val z = math.max(1e-12, sum)
+        v = 0
+        while (v < score.length) {
+          val next = score(v) / z
+          delta = math.max(delta, math.abs(next - mu(o)(v)))
+          mu(o)(v) = next
+          v += 1
+        }
         truth(o) = TdhProb.argmaxTruth(views(o), mu(o))
       }
       // weights from normalized 0-1 loss
       val loss = new Array[Double](claims.nActors)
       for (o <- 0 until nObj) claims.foreachClaim(o)((a, u) => if (u != truth(o)) loss(a) += 1.0)
-      val totalLoss = math.max(1e-9, loss.sum)
+      var lossSum = 0.0
+      var a = 0
+      while (a < loss.length) { lossSum += loss(a); a += 1 }
+      val totalLoss = math.max(1e-9, lossSum)
       for (a <- weights.indices) {
         val norm = (loss(a) + 0.5) / (totalLoss + 0.5 * claims.nActors)
         weights(a) = -math.log(norm)
@@ -45,6 +60,7 @@ final class CrhInference extends TruthInference {
     // uniform answer model (ME, the assigner Table 4 pairs it with, never
     // reads workerAcc).
     TruthInference.uniformState(views, mu, truth, claims.byWorker(_ => 0.8))
+      .copy(iterations = Iterations, converged = delta <= BaselineEm.Tol)
   }
 }
 

@@ -31,11 +31,23 @@ final class LfcInference extends BaselineEm {
         while (j < mu.length) { m(j)(u) += mu(j); j += 1 }
       }
 
-      def mStep(): Unit = for (a <- pi.indices; j <- 0 until k) { // Laplace-smoothed rows
-        val row = acc(a)(j)
-        val den = row.sum + 0.1 * k
-        for (l <- 0 until k) pi(a)(j)(l) = (row(l) + 0.1) / den
-        java.util.Arrays.fill(row, 0.0)
+      def mStep(): Unit = { // Laplace-smoothed rows
+        var a = 0
+        while (a < pi.length) {
+          var j = 0
+          while (j < k) {
+            val row = acc(a)(j)
+            val out = pi(a)(j)
+            var sum = 0.0
+            var l = 0
+            while (l < k) { sum += row(l); l += 1 }
+            val den = sum + 0.1 * k
+            l = 0
+            while (l < k) { out(l) = (row(l) + 0.1) / den; row(l) = 0.0; l += 1 }
+            j += 1
+          }
+          a += 1
+        }
       }
 
       def workerAcc: Map[Int, Double] = claims.byWorker(a => (0 until k).map(j => pi(a)(j)(j)).sum / k)

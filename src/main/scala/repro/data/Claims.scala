@@ -117,14 +117,37 @@ final case class TdDataset(
 ) {
   require(gold.length == numObjects, s"gold has ${gold.length} entries for $numObjects objects")
   locally { // each record names a known object and source and a non-root node; each object has a record
-    val perObj = new Array[Int](numObjects)
+    val objOff = new Array[Int](numObjects + 1)
     for (r <- records) {
       require(r.obj >= 0 && r.obj < numObjects, s"$r: object ${r.obj} is not in [0, $numObjects)")
       require(r.source >= 0 && r.source < numSources, s"$r: source ${r.source} is not in [0, $numSources)")
       require(r.value > hierarchy.root && r.value < hierarchy.size, s"$r: value ${r.value} is not a non-root hierarchy node")
-      perObj(r.obj) += 1
+      objOff(r.obj + 1) += 1
     }
-    for (o <- 0 until numObjects) require(perObj(o) > 0, s"object $o has no records")
+    for (o <- 0 until numObjects) {
+      require(objOff(o + 1) > 0, s"object $o has no records")
+      objOff(o + 1) += objOff(o)
+    }
+    // no source claims an object twice: the sources grouped by object, each
+    // stamped with the last object it was seen on
+    val srcByObj = new Array[Int](records.length)
+    val next = objOff.clone()
+    for (r <- records) { srcByObj(next(r.obj)) = r.source; next(r.obj) += 1 }
+    val seenOn = Array.fill(numSources)(-1)
+    var o = 0
+    while (o < numObjects) {
+      var k = objOff(o)
+      while (k < objOff(o + 1)) {
+        val s = srcByObj(k)
+        if (seenOn(s) == o) {
+          val r = records.filter(r => r.obj == o && r.source == s)(1)
+          throw new IllegalArgumentException(s"$r: source $s already has a record on object $o")
+        }
+        seenOn(s) = o
+        k += 1
+      }
+      o += 1
+    }
   }
 
   /** Compiled per-object views, index = object id. */

@@ -248,6 +248,21 @@ class BaselinesSpec extends AnyFunSuite {
     assert(st.iterations == BaselineEm.MaxIters && iter == BaselineEm.MaxIters && !st.converged)
   }
 
+  test("ACCU, POPACCU and CRH report their rounds and whether the last one settled μ") {
+    val got = for {
+      (name, ds) <- Seq("BirthPlaces" -> TruthDataGen.birthPlaces(), "Heritages" -> TruthDataGen.heritages())
+      alg <- Seq(new AccuInference(popularityFalse = false), new AccuInference(popularityFalse = true), new CrhInference())
+    } yield {
+      val st = alg.infer(ds.views, empty(ds))
+      (alg.name, name) -> (st.iterations, st.converged)
+    }
+    // 4 dependence estimates × 8 μ updates for ACCU and POPACCU, 15 rounds for CRH
+    assert(got.toMap == Map(
+      ("ACCU", "BirthPlaces") -> (32, true), ("POPACCU", "BirthPlaces") -> (32, true), ("CRH", "BirthPlaces") -> (15, true),
+      ("ACCU", "Heritages") -> (32, false), ("POPACCU", "Heritages") -> (32, false), ("CRH", "Heritages") -> (15, true),
+    ), got.mkString("\n"))
+  }
+
   // 64-bit digests of the exact bits of LFC's μ and truths on the calibrated
   // datasets with an empty log. A change to LFC's loop order or to one of its
   // floating-point expressions shows up here.

@@ -94,6 +94,17 @@ class ClaimsSpec extends AnyFunSuite {
     assert(msg.contains("object 1 has no records"), msg)
   }
 
+  test("a dataset rejects a second record of one source on one object, wherever it sits") {
+    val msg = rejected(2, Vector(Record(0, 0, London), Record(1, 0, LA), Record(1, 1, LA), Record(0, 0, Manchester)),
+      Array(London, LA))
+    assert(msg.contains("Record(0,0,8)") && msg.contains("source 0") && msg.contains("object 0"), msg)
+    // the same value twice is a duplicate too; one source on many objects is not
+    val same = rejected(2, Vector(Record(1, 2, LA), Record(0, 2, LA), Record(1, 2, LA)), Array(LA, LA))
+    assert(same.contains("Record(1,2,5)"), same)
+    assert(TdDataset(Fixtures.geo, 2, 3, Vector(Record(1, 2, LA), Record(0, 2, LA), Record(0, 1, LA)), Array(LA, LA))
+      .views.map(_.nRecords).toSeq == Seq(2, 1))
+  }
+
   test("a dataset rejects a gold array whose length is not the object count") {
     val msg = rejected(2, Vector(Record(0, 0, London), Record(1, 0, LA)), Array(London))
     assert(msg.contains("gold has 1 entries for 2 objects"), msg)
